@@ -4,12 +4,13 @@ Two measurements, both writing ``BENCH_faults.json``:
 
 1. **Fault-free overhead** — the same sleep-padded population warm is
    pushed through :class:`~repro.runtime.async_pool.AsyncPopulationExecutor`
-   twice: once with ``fault_policy=None`` (the legacy batch-gather path)
-   and once with a full :class:`~repro.runtime.faults.FaultPolicy`
-   (deadlines armed, retry budget armed, quarantine on).  No fault ever
-   fires, so the gap is pure policy bookkeeping — per-chunk gather
-   loops, deadline arithmetic, claim tracking.  The policy must cost
-   under 2% wall-clock.
+   twice: once with the executor's default no-retry policy
+   (:data:`~repro.runtime.async_pool.NO_RETRY`: no deadline, no retries,
+   no quarantine) and once with a full
+   :class:`~repro.runtime.faults.FaultPolicy` (deadlines armed, retry
+   budget armed, quarantine on).  No fault ever fires, so the gap is pure
+   policy bookkeeping — deadline arithmetic, retry and quarantine
+   accounting.  The armed policy must cost under 2% wall-clock.
 
 2. **Recovery under a 20% fault rate** — a fixed sampled population is
    evaluated on fork workers wrapped in a fuzzing
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro.engine import Engine
 from repro.eval.benchconfig import bench_scale, search_proxy_config
-from repro.runtime.async_pool import AsyncPopulationExecutor
+from repro.runtime.async_pool import NO_RETRY, AsyncPopulationExecutor
 from repro.runtime.faults import FaultPlan, FaultPolicy, QuarantineLedger
 from repro.runtime.pool import _evaluate_genotype_chunk
 from repro.searchspace.canonical import canonicalize
@@ -96,7 +97,7 @@ def _run_overhead(proxy_config) -> Dict:
     # a round hits both arms equally; compare minima (the
     # least-disturbed observation of each arm).
     for repeat in range(OVERHEAD_REPEATS):
-        arms = [(baseline, None), (policed, policy)]
+        arms = [(baseline, NO_RETRY), (policed, policy)]
         for times, arm_policy in (arms if repeat % 2 == 0
                                   else reversed(arms)):
             times.append(_warm_once(proxy_config, population, arm_policy))

@@ -174,23 +174,21 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         ["algorithm", report.algorithm],
         ["architecture", report.arch_str],
         ["precision", config.precision],
-        ["workers (mode)", f"{report.pool.get('n_workers', config.n_workers)}"
+        ["workers (mode)", f"{report.pool['n_workers']}"
                            f" ({report.pool['mode']}"
                            f"{', async' if config.async_mode else ''})"],
         ["pool tasks / chunks", f"{report.pool['tasks']} / "
                                f"{report.pool['chunks']}"],
     ]
-    if config.async_mode:
-        idle = report.pool.get("idle_fraction")
-        rows.append(["worker idle fraction",
-                     "n/a" if idle is None else f"{idle:.1%}"])
-        faults = [f"{report.pool[key]} {key}"
-                  for key in ("retries", "timeouts", "respawns",
-                              "quarantined")
-                  if report.pool.get(key)]
-        rows.append(["faults recovered", ", ".join(faults) or "none"])
-        if report.status != "completed":
-            rows.append(["status", report.status])
+    idle = report.pool["idle_fraction"]
+    rows.append(["worker idle fraction",
+                 "n/a" if idle is None else f"{idle:.1%}"])
+    faults = [f"{report.pool[key]} {key}"
+              for key in ("retries", "timeouts", "respawns", "quarantined")
+              if report.pool[key]]
+    rows.append(["faults recovered", ", ".join(faults) or "none"])
+    if report.status != "completed":
+        rows.append(["status", report.status])
     if config.fleet_bind or config.fleet_workers:
         rows.append(["fleet", f"{config.fleet_workers} local workers"
                              f" ({report.pool['mode']} transport)"])
@@ -722,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_runtime.add_argument("--algorithm", default="random",
                            help="registered algorithm: random, "
                                 "trainless-evolutionary, steady-state "
-                                "(async-only event-driven evolution), "
+                                "(event-driven evolution), "
                                 "pruning, macro, or evolutionary "
                                 "(train-based surrogate baseline; ignores "
                                 "indicator weights and the pool)")
@@ -731,10 +729,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_runtime.add_argument("--chunk-size", type=int, default=8,
                            help="candidates per worker task")
     p_runtime.add_argument("--async", dest="async_mode", action="store_true",
-                           help="futures-per-chunk async executor: chunks "
-                                "merge into the cache as they land instead "
-                                "of behind a population barrier (required "
-                                "by --algorithm steady-state)")
+                           help="async runtime: index store reads by "
+                                "default, a store flush after every "
+                                "gather, graceful SIGINT/SIGTERM drain "
+                                "(required by the --fleet-* options)")
     p_runtime.add_argument("--store", default=None,
                            help="directory for the persistent indicator/LUT "
                                 "store (created if missing)")
@@ -780,12 +778,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="steady-state Pareto parent pick: crowding-"
                                 "distance-weighted (default) or uniform")
     p_runtime.add_argument("--chunk-timeout", type=float, default=None,
-                           help="async runs: per-chunk deadline in seconds "
+                           help="per-chunk deadline in seconds "
                                 "— a chunk running longer is abandoned, "
                                 "counted as a timeout, and retried under "
                                 "--max-retries (default: no deadline)")
     p_runtime.add_argument("--max-retries", type=int, default=2,
-                           help="async runs: retry budget for transient "
+                           help="retry budget for transient "
                                 "chunk failures (timeouts, I/O errors); "
                                 "deterministic-poison candidates are "
                                 "bisected out and quarantined in the store "

@@ -5,36 +5,34 @@ proxy kernels, the canonicalization-aware cache, the population API).
 This package owns *how* populations get evaluated at scale — without the
 engine ever importing it:
 
-1. **Process-pool executor** (:mod:`repro.runtime.pool`) —
-   :class:`PopulationExecutor` maps proxy evaluation over the unique
-   canonical genotypes (or supernet states) of a population with
-   pure-NumPy worker processes, then merges the returned indicator rows
-   back into the shared :class:`~repro.engine.cache.IndicatorCache` under
-   the engine's exact cache keys.  Workers are deterministic because every
-   proxy seeds from the canonical key, so pool results are bit-identical
+1. **Executor** (:mod:`repro.runtime.async_pool`, chunk workers in
+   :mod:`repro.runtime.pool`) — :class:`AsyncPopulationExecutor` maps
+   proxy evaluation over the unique canonical genotypes (or supernet
+   states) of a population in DeepHyper-style submit/gather halves:
+   per-chunk futures on serial, thread or pure-NumPy fork backends whose
+   indicator rows merge into the shared
+   :class:`~repro.engine.cache.IndicatorCache` **the moment each chunk
+   lands** (via :meth:`~repro.engine.core.Engine.merge_indicator_rows`),
+   under the engine's exact cache keys.  Workers are deterministic because
+   every proxy seeds from the canonical key, so results are bit-identical
    to serial evaluation regardless of worker count or completion order.
-2. **Async executor** (:mod:`repro.runtime.async_pool`) —
-   :class:`AsyncPopulationExecutor` splits that barrier into DeepHyper-
-   style submit/gather halves: per-chunk futures whose indicator rows
-   merge into the shared cache **the moment each chunk lands** (via
-   :meth:`~repro.engine.core.Engine.merge_indicator_rows`), in any
-   completion order, with results bit-identical to serial.  The
-   steady-state evolutionary search keeps ``n_workers`` candidates in
-   flight on top of it, overlapping mutation with evaluation instead of
-   idling at generation barriers.
-3. **Persistent store** (:mod:`repro.runtime.store`) —
+   Its blocking ``warm_population``/``warm_supernets`` hooks serve every
+   search loop; the steady-state evolutionary search keeps ``n_workers``
+   candidates in flight on the split halves, overlapping mutation with
+   evaluation instead of idling at generation barriers.
+2. **Persistent store** (:mod:`repro.runtime.store`) —
    :class:`RuntimeStore` serialises the indicator cache (JSON round-trip
    with fingerprint validation, so stale proxy/macro configurations never
    poison results) and keeps a device-keyed latency-LUT store built on
    :meth:`~repro.hardware.profiler.LatencyLUT.save_json`, so repeated
    runs, multi-device Pareto searches and CI all warm-start.
-4. **Run harness** (:mod:`repro.runtime.harness`) — one
+3. **Run harness** (:mod:`repro.runtime.harness`) — one
    :class:`RuntimeConfig` configures engine + pool + store, runs any
    registered search algorithm against them and emits a structured
    :class:`RunReport`.  The harness owns executor lifecycle: pools are
    closed deterministically when the run finishes (or via the harness's
    context manager), never left to GC timing.
-5. **Fault tolerance** (:mod:`repro.runtime.faults`) — the failure
+4. **Fault tolerance** (:mod:`repro.runtime.faults`) — the failure
    policy the async layers execute: transient-vs-poison classification,
    deterministic retry backoff, per-chunk deadlines, pool respawn after
    worker death, a persistent quarantine ledger for poison candidates,
@@ -43,7 +41,7 @@ engine ever importing it:
    an async harness run triggers a graceful drain: submission stops,
    in-flight chunks land and flush, and the report comes back marked
    ``interrupted`` with nothing lost.
-6. **Telemetry** (:mod:`repro.runtime.telemetry` +
+5. **Telemetry** (:mod:`repro.runtime.telemetry` +
    :mod:`repro.runtime.tracing`) — a strict-observer instrumentation
    substrate: one run-scoped :class:`Telemetry` object threaded through
    harness → executors → pool → store → engine records spans (dispatch,
@@ -54,7 +52,7 @@ engine ever importing it:
    :class:`RunReport`; disabled by default with <2% armed overhead and
    zero effect on computed rows.
 
-7. **Distributed fleet** (:mod:`repro.runtime.fleet`) — a TCP socket
+6. **Distributed fleet** (:mod:`repro.runtime.fleet`) — a TCP socket
    broker (:class:`FleetBroker`) leasing picklable chunk payloads to an
    elastic set of worker processes (``micronas fleet worker``), with
    per-lease deadlines, exactly-once re-lease of expired chunks, and
@@ -74,7 +72,6 @@ executor accepts any ``pool=`` honouring the ``FuturePool`` contract —
 which is exactly how the fleet transport plugs in.
 """
 
-from repro.runtime.pool import PoolStats, PopulationExecutor
 from repro.runtime.async_pool import (
     AsyncPoolStats,
     AsyncPopulationExecutor,
@@ -120,8 +117,6 @@ from repro.runtime.telemetry import (
 from repro.runtime.tracing import Tracer, write_chrome_trace
 
 __all__ = [
-    "PopulationExecutor",
-    "PoolStats",
     "AsyncPopulationExecutor",
     "AsyncPoolStats",
     "ChunkGatherError",

@@ -1,11 +1,8 @@
-"""Futures-per-chunk asynchronous population evaluation.
+"""Futures-per-chunk population evaluation: the runtime's one executor.
 
-PR 2's :class:`~repro.runtime.pool.PopulationExecutor` is a *barrier*
-executor: ``warm_population`` blocks until every chunk of a population has
-been computed, so a search loop sits idle while the slowest chunk
-finishes.  This module splits that barrier into DeepHyper-style
-**submit/gather** halves (their evaluator abstraction keeps ``num_workers``
-jobs in flight and lets the search react to whichever result lands first):
+Population evaluation is split into DeepHyper-style **submit/gather**
+halves (their evaluator abstraction keeps ``num_workers`` jobs in flight
+and lets the search react to whichever result lands first):
 
 * :class:`FuturePool` — the transport: submit picklable ``(worker,
   payload)`` tasks, gather completed results **in completion order**, with
@@ -37,22 +34,19 @@ fleet needs (policy objects in :mod:`repro.runtime.faults`):
   (``BrokenProcessPool``): it terminates the carcass, spawns a fresh
   pool, and resubmits every lost in-flight task exactly once per death,
   up to ``max_respawns``;
-* the executor — when given a :class:`~repro.runtime.faults.FaultPolicy`
-  — classifies chunk failures: *transient* ones retry with deterministic
-  exponential backoff under a retry budget; *poison* ones bisect, so one
-  bad genotype cannot sink its chunk-mates, and the lone offender left
-  at the bottom lands in the (optionally persistent)
+* the executor classifies chunk failures under its
+  :class:`~repro.runtime.faults.FaultPolicy`: *transient* ones retry with
+  deterministic exponential backoff under a retry budget; *poison* ones
+  bisect, so one bad genotype cannot sink its chunk-mates, and the lone
+  offender left at the bottom lands in the (optionally persistent)
   :class:`~repro.runtime.faults.QuarantineLedger`, after which it is
-  never shipped again.  Without a policy the legacy semantics hold: any
-  worker failure surfaces as :class:`ChunkGatherError` after siblings
-  merge.
+  never shipped again.
 
-The executor also implements the synchronous ``warm_population`` /
-``warm_supernets`` hooks (submit + gather-all), so it is a drop-in
-``executor=`` for every existing search loop; the steady-state
-evolutionary search (:class:`~repro.search.evolutionary.
-SteadyStateEvolutionarySearch`) is the loop that actually exploits the
-split halves.
+The executor also implements the blocking ``warm_population`` /
+``warm_supernets`` hooks (submit + gather-all) that every search loop's
+``executor=`` duck-types; the steady-state evolutionary search
+(:class:`~repro.search.evolutionary.SteadyStateEvolutionarySearch`) is
+the loop that exploits the split halves.
 
 Worker functions are injectable (``genotype_worker=`` /
 ``supernet_worker=``): the seam through which a remote transport (or a
@@ -66,7 +60,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.core import supernet_state_key
@@ -80,7 +74,6 @@ from repro.runtime.faults import (
     classify_failure,
 )
 from repro.runtime.pool import (
-    _chunked,
     _evaluate_genotype_chunk,
     _evaluate_supernet_chunk,
     _fork_available,
@@ -508,6 +501,12 @@ class FuturePool:
 # ----------------------------------------------------------------------
 # The engine adapter
 # ----------------------------------------------------------------------
+#: The executor's default policy: no retries, no quarantine, so any
+#: worker failure raises :class:`ChunkGatherError` once its sibling
+#: chunks have merged.
+NO_RETRY = FaultPolicy(max_retries=0, quarantine=False)
+
+
 @dataclass
 class AsyncPoolStats:
     """Cumulative accounting of one :class:`AsyncPopulationExecutor`."""
@@ -662,17 +661,16 @@ class AsyncPopulationExecutor:
     mutation loops revisit architectures constantly, and double-computing
     them would waste exactly the capacity the async runtime frees up.
 
-    **Fault policy.**  Pass ``fault_policy=`` to enable failure recovery
-    (and ``quarantine_ledger=`` to persist quarantine decisions in the
-    store directory): transient failures retry with deterministic
-    backoff, poison chunks bisect down to the offending candidate which
-    is quarantined and never re-shipped — submits consult the quarantine
-    sets, which are seeded from the ledger, so a restart keeps earlier
-    decisions.  Without a policy, failures raise :class:`ChunkGatherError`
-    exactly as before.
+    **Fault policy.**  The default :data:`NO_RETRY` policy raises
+    :class:`ChunkGatherError` on any worker failure.  Pass a retrying
+    ``fault_policy=`` to recover (and ``quarantine_ledger=`` to persist
+    quarantine decisions in the store directory): transient failures
+    retry with deterministic backoff, poison chunks bisect down to the
+    offending candidate which is quarantined and never re-shipped —
+    submits consult the quarantine sets, which are seeded from the
+    ledger, so a restart keeps earlier decisions.
 
-    The synchronous ``warm_population`` / ``warm_supernets`` hooks make
-    this a drop-in for :class:`~repro.runtime.pool.PopulationExecutor`
+    The blocking ``warm_population`` / ``warm_supernets`` hooks serve
     anywhere an ``executor=`` is accepted.
     """
 
@@ -680,7 +678,7 @@ class AsyncPopulationExecutor:
                  mode: str = "auto",
                  genotype_worker: Callable = _evaluate_genotype_chunk,
                  supernet_worker: Callable = _evaluate_supernet_chunk,
-                 fault_policy: Optional[FaultPolicy] = None,
+                 fault_policy: FaultPolicy = NO_RETRY,
                  quarantine_ledger=None,
                  telemetry: Optional[Telemetry] = None,
                  cache_loader: Optional[Callable] = None,
@@ -709,10 +707,8 @@ class AsyncPopulationExecutor:
         else:
             self.pool = FuturePool(
                 n_workers=n_workers, mode=mode,
-                chunk_timeout=(fault_policy.chunk_timeout
-                               if fault_policy else None),
-                max_respawns=(fault_policy.max_respawns
-                              if fault_policy else 3),
+                chunk_timeout=fault_policy.chunk_timeout,
+                max_respawns=fault_policy.max_respawns,
                 telemetry=self.telemetry,
             )
         self.n_workers = self.pool.n_workers
@@ -1030,15 +1026,14 @@ class AsyncPopulationExecutor:
         everything when fewer than ``k`` chunks are pending; returns
         ``[]`` when nothing is.
 
-        Without a fault policy, a chunk whose worker raised surfaces as
+        Transient failures retry and poison chunks bisect/quarantine as
+        the fault policy allows; a failure past the policy surfaces as
         :class:`ChunkGatherError` — but only after the sibling chunks
         gathered in the same call have merged (they ride along on the
         error's ``gathered`` attribute) and the failed chunk's in-flight
         key claims have been released, so the executor stays drainable
         and the candidates can be resubmitted (or computed serially by
-        the engine).  With a policy, transient failures retry and poison
-        chunks bisect/quarantine first; only unrecoverable failures
-        raise.
+        the engine).
         """
         tel = self.telemetry
         if not tel.enabled:
@@ -1050,8 +1045,6 @@ class AsyncPopulationExecutor:
             return chunks
 
     def _gather_inner(self, k: int) -> List[GatheredChunk]:
-        if self.fault_policy is None:
-            return self._gather_legacy(k)
         gathered: List[GatheredChunk] = []
         failures: List[BaseException] = []
         drain_all = k >= self.pool.num_pending
@@ -1068,27 +1061,6 @@ class AsyncPopulationExecutor:
                 else:
                     resolved += self._handle_failure(context, result.error,
                                                      failures, gathered)
-        return self._finish_gather(gathered, failures, saw_results)
-
-    def _gather_legacy(self, k: int) -> List[GatheredChunk]:
-        """Policy-free gather: any worker failure is surfaced as-is."""
-        gathered: List[GatheredChunk] = []
-        failures: List[BaseException] = []
-        results = self.pool.gather(k)
-        for result in results:
-            context: _ChunkContext = result.tag
-            if result.error is not None:
-                self._pending_keys(context.engine).difference_update(
-                    context.keys
-                )
-                failures.append(result.error)
-                continue
-            gathered.append(self._merge_landed(context, result.value))
-        return self._finish_gather(gathered, failures, bool(results))
-
-    def _finish_gather(self, gathered: List[GatheredChunk],
-                       failures: List[BaseException],
-                       saw_results: bool) -> List[GatheredChunk]:
         if saw_results:
             # Count the gather even when every chunk in it failed —
             # the loop still synchronised with the pool, and reports
@@ -1121,24 +1093,24 @@ class AsyncPopulationExecutor:
         return gathered
 
     def gather_all(self) -> List[GatheredChunk]:
-        """Gather every in-flight chunk (the barrier the sync hooks use)."""
+        """Gather every in-flight chunk (the barrier the blocking hooks
+        use)."""
         if self.num_pending == 0:
             return []
         return self.gather(self.num_pending)
 
     # ------------------------------------------------------------------
-    # Synchronous executor hooks (drop-in for PopulationExecutor)
+    # Blocking executor hooks (duck-typed by the engine and search loops)
     # ------------------------------------------------------------------
     def warm_population(self, engine, genotypes: Sequence[Genotype],
                         with_latency: bool = False,
                         assume_canonical: bool = True) -> int:
         """Submit + gather-all: the blocking hook the engine duck-types.
 
-        Note the ``assume_canonical`` default matches
-        :meth:`~repro.runtime.pool.PopulationExecutor.warm_population`
-        (the engine passes already-canonical forms), while
-        :meth:`submit_population` defaults to ``False`` because search
-        loops submit raw mutants directly.
+        ``assume_canonical`` defaults to ``True`` because the engine
+        passes already-canonical forms, while :meth:`submit_population`
+        defaults to ``False`` because search loops submit raw mutants
+        directly.
         """
         self.submit_population(engine, genotypes, with_latency=with_latency,
                                assume_canonical=assume_canonical)
@@ -1169,6 +1141,7 @@ class AsyncPopulationExecutor:
 
 
 __all__ = [
+    "NO_RETRY",
     "AsyncPopulationExecutor",
     "AsyncPoolStats",
     "ChunkGatherError",

@@ -5,8 +5,8 @@ evaluation run — which search algorithm, how many worker processes, which
 device, which store directory to warm-start from.  :class:`RunHarness`
 materialises it: builds the :class:`~repro.engine.Engine` (loading any
 persisted indicator cache and letting latency estimators pull profiled
-LUTs from the store), builds the :class:`~repro.runtime.pool.\
-PopulationExecutor`, runs the selected algorithm from :data:`ALGORITHMS`
+LUTs from the store), builds the :class:`~repro.runtime.async_pool.\
+AsyncPopulationExecutor`, runs the selected algorithm from :data:`ALGORITHMS`
 and emits a structured :class:`RunReport` (optionally persisting the
 warmed cache back).
 
@@ -28,7 +28,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SearchError
 from repro.proxies.base import ProxyConfig
-from repro.runtime.pool import PopulationExecutor
+from repro.runtime.async_pool import AsyncPopulationExecutor
+from repro.runtime.faults import FaultPolicy
 from repro.runtime.store import READ_MODES, RuntimeStore, cache_fingerprint
 from repro.runtime.telemetry import Heartbeat, Telemetry
 from repro.search.result import SearchResult
@@ -48,7 +49,10 @@ class RuntimeConfig:
     algorithm: str = "random"
     n_workers: int = 1
     chunk_size: int = 8
-    async_mode: bool = False   # futures-per-chunk async executor
+    #: Long-running-run behaviour on top of the one executor: "auto"
+    #: store reads resolve to index mode, the store is flushed after every
+    #: gather, SIGINT/SIGTERM drain the run, and the fleet may be used.
+    async_mode: bool = False
     store_dir: Optional[str] = None
     #: How warm-start reads the store: "full" (eager whole-store replay
     #: at harness construction — right when the run will touch most of
@@ -77,8 +81,8 @@ class RuntimeConfig:
     save_store: bool = True     # persist the warmed cache after the run
     precision: str = "float64"  # proxy compute policy (float32|float64)
     parent_selection: str = "crowding"  # steady-state Pareto parent pick
-    chunk_timeout: Optional[float] = None  # async per-chunk deadline (s)
-    max_retries: int = 2        # async transient-failure retry budget
+    chunk_timeout: Optional[float] = None  # per-chunk deadline (s)
+    max_retries: int = 2        # transient-failure retry budget
     graceful_shutdown: bool = True  # SIGINT/SIGTERM drain (async runs)
     trace_path: Optional[str] = None  # write a Chrome trace JSON here
     heartbeat: Optional[float] = None  # progress line every N seconds
@@ -316,18 +320,12 @@ def _run_trainless_evolutionary(harness: "RunHarness") -> SearchResult:
 
 @register_algorithm("steady-state")
 def _run_steady_state(harness: "RunHarness") -> SearchResult:
-    """Asynchronous steady-state evolution (needs the async runtime)."""
+    """Asynchronous steady-state evolution."""
     from repro.search.evolutionary import (
         EvolutionConfig,
         SteadyStateEvolutionarySearch,
     )
 
-    if not hasattr(harness.executor, "submit_population"):
-        raise SearchError(
-            "the steady-state algorithm is event-driven and needs the "
-            "asynchronous executor: set RuntimeConfig.async_mode=True "
-            "(CLI: micronas runtime --async --algorithm steady-state)"
-        )
     return SteadyStateEvolutionarySearch(
         harness.objective(),
         EvolutionConfig(
@@ -440,7 +438,7 @@ class RunHarness:
         if (config.fleet_bind or config.fleet_workers) \
                 and not config.async_mode:
             raise SearchError(
-                "fleet transport rides the async executor: set "
+                "fleet transport needs the async runtime: set "
                 "async_mode=True (CLI: micronas runtime --async)"
             )
         if config.fleet_workers < 0:
@@ -492,56 +490,41 @@ class RunHarness:
             if self.store is not None and self.store_read_mode != "full"
             else None
         )
-        if config.async_mode:
-            from repro.runtime.async_pool import AsyncPopulationExecutor
-            from repro.runtime.faults import FaultPolicy
+        pool = None
+        if config.fleet_bind or config.fleet_workers:
+            from repro.runtime.fleet import FleetPool, parse_address
 
-            pool = None
-            if config.fleet_bind or config.fleet_workers:
-                from repro.runtime.fleet import FleetPool, parse_address
-
-                host, port = (parse_address(config.fleet_bind)
-                              if config.fleet_bind else ("127.0.0.1", 0))
-                pool = FleetPool(
-                    host=host, port=port,
-                    n_workers=max(config.fleet_workers, 1),
-                    lease_seconds=(config.fleet_lease_seconds
-                                   if config.fleet_lease_seconds
-                                   is not None
-                                   else config.chunk_timeout),
-                    token=config.fleet_token,
-                    telemetry=self.telemetry,
-                )
-            self.executor = AsyncPopulationExecutor(
-                n_workers=config.n_workers, chunk_size=config.chunk_size,
-                fault_policy=FaultPolicy(
-                    chunk_timeout=config.chunk_timeout,
-                    max_retries=config.max_retries,
-                ),
-                # Quarantine decisions persist in the store directory
-                # (and pre-seed the executor) when a store is configured;
-                # store-less runs quarantine in memory only.
-                quarantine_ledger=(
-                    self.store.quarantine_ledger(self.fingerprint)
-                    if self.store is not None else None
-                ),
+            host, port = (parse_address(config.fleet_bind)
+                          if config.fleet_bind else ("127.0.0.1", 0))
+            pool = FleetPool(
+                host=host, port=port,
+                n_workers=max(config.fleet_workers, 1),
+                lease_seconds=(config.fleet_lease_seconds
+                               if config.fleet_lease_seconds is not None
+                               else config.chunk_timeout),
+                token=config.fleet_token,
                 telemetry=self.telemetry,
-                cache_loader=cache_loader,
-                pool=pool,
             )
-            if pool is not None and config.fleet_workers:
-                # Local fan-out: forked workers share the store for
-                # warm starts and flush their rows under its flocks.
-                pool.spawn_local_workers(
-                    config.fleet_workers, store_dir=config.store_dir,
-                    read_mode=(self.store_read_mode
-                               if self.store_read_mode != "full"
-                               else "index"))
-        else:
-            self.executor = PopulationExecutor(n_workers=config.n_workers,
-                                               chunk_size=config.chunk_size,
-                                               telemetry=self.telemetry,
-                                               cache_loader=cache_loader)
+        self.executor = AsyncPopulationExecutor(
+            n_workers=config.n_workers, chunk_size=config.chunk_size,
+            fault_policy=FaultPolicy(chunk_timeout=config.chunk_timeout,
+                                     max_retries=config.max_retries),
+            # Quarantine decisions persist in the store directory (and
+            # pre-seed the executor) when a store is configured;
+            # store-less runs quarantine in memory only.
+            quarantine_ledger=(self.store.quarantine_ledger(self.fingerprint)
+                               if self.store is not None else None),
+            telemetry=self.telemetry,
+            cache_loader=cache_loader,
+            pool=pool,
+        )
+        if pool is not None and config.fleet_workers:
+            # Local fan-out: forked workers share the store for warm
+            # starts and flush their rows under its flocks.
+            pool.spawn_local_workers(
+                config.fleet_workers, store_dir=config.store_dir,
+                read_mode=(self.store_read_mode
+                           if self.store_read_mode != "full" else "index"))
         from repro.engine.cache import IndicatorCache
 
         self.engine = Engine(
@@ -587,10 +570,10 @@ class RunHarness:
         so it is safe from the heartbeat thread mid-run)."""
         stats = self.executor.stats
         return {
-            "evals": getattr(stats, "tasks", 0),
-            "in_flight": getattr(self.executor, "num_pending", 0),
-            "idle_fraction": getattr(stats, "idle_fraction", None),
-            "retries": getattr(stats, "retries", 0),
+            "evals": stats.tasks,
+            "in_flight": self.executor.num_pending,
+            "idle_fraction": stats.idle_fraction,
+            "retries": stats.retries,
             "store_rows": self.flushed_entries,
         }
 
@@ -598,8 +581,7 @@ class RunHarness:
     def close(self) -> None:
         """Shut worker pools down *now* (idempotent).
 
-        :class:`~repro.runtime.pool.PopulationExecutor` used to lean on
-        ``__del__`` for cleanup, which runs at GC's convenience — forked
+        The executor's ``__del__`` runs at GC's convenience, so forked
         workers could outlive the run that spawned them.  The harness is
         the object with the executor's lifecycle in hand, so it closes
         deterministically: :meth:`run` on completion (success or not), or
@@ -657,13 +639,12 @@ class RunHarness:
         """Route SIGINT/SIGTERM into a graceful drain; returns the
         ``(signum, previous_handler)`` pairs to restore afterwards.
 
-        Only armed for async runs (the executor must expose
-        ``request_drain``) from the main thread — synchronous runs keep
-        stock Ctrl-C semantics, and signal handlers cannot be installed
-        off the main thread anyway.
+        Only armed for async runs from the main thread — synchronous runs
+        keep stock Ctrl-C semantics, and signal handlers cannot be
+        installed off the main thread anyway.
         """
         if (not self.config.graceful_shutdown
-                or not hasattr(self.executor, "request_drain")
+                or not self.config.async_mode
                 or threading.current_thread()
                 is not threading.main_thread()):
             return []
@@ -717,7 +698,7 @@ class RunHarness:
         saved_entries = self.flushed_entries
         if self.store is not None and self.config.save_store:
             # Appends whatever the mid-run flushes have not already
-            # persisted (everything, for the sync executor).
+            # persisted.
             saved_entries += self.store.save_cache(self.engine.cache,
                                                    self.fingerprint)
         return RunReport(

@@ -494,17 +494,25 @@ class TestSteadyStateSearch:
         assert rerun.genotype is not None
 
     def test_sync_executor_rejected(self, tiny_proxy_config):
-        from repro.runtime.pool import PopulationExecutor
+        """External duck-typed executors with only the blocking hooks
+        cannot drive the event-driven loop."""
         from repro.search.evolutionary import (
             EvolutionConfig,
             SteadyStateEvolutionarySearch,
         )
 
-        with pytest.raises(SearchError):
+        class BlockingOnlyExecutor:
+            def warm_population(self, engine, genotypes, **kwargs):
+                return 0
+
+            def warm_supernets(self, engine, spec_lists):
+                return 0
+
+        with pytest.raises(SearchError, match="submit_population"):
             SteadyStateEvolutionarySearch(
                 self._objective(tiny_proxy_config),
                 EvolutionConfig(population_size=4, sample_size=2, cycles=2),
-                executor=PopulationExecutor(n_workers=1),
+                executor=BlockingOnlyExecutor(),
             )
 
     def test_fork_mode_completes_and_closes(self, tiny_proxy_config):

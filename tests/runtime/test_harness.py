@@ -97,7 +97,7 @@ class TestRunHarness:
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["algorithm"] == "random-zeroshot"
         assert payload["config"]["algorithm"] == "random"
-        assert payload["pool"]["mode"] in ("serial", "fork-pool")
+        assert payload["pool"]["mode"] in ("serial", "fork")
 
     def test_async_mode_runs_any_algorithm(self):
         report = RunHarness(_quick_config(async_mode=True)).run()
@@ -105,16 +105,24 @@ class TestRunHarness:
         assert report.pool["mode"] == "serial"  # n_workers=1 fallback
         assert "idle_fraction" in report.pool
 
-    def test_steady_state_needs_async_executor(self):
-        with pytest.raises(SearchError):
-            RunHarness(_quick_config(algorithm="steady-state",
-                                     population_size=4, cycles=3)).run()
-        report = RunHarness(_quick_config(algorithm="steady-state",
-                                          async_mode=True,
-                                          population_size=4,
-                                          cycles=3)).run()
-        assert report.algorithm == "evolutionary-steady-state"
-        assert set(report.indicators) >= {"ntk", "linear_regions", "flops"}
+    def test_steady_state_same_rows_async_on_or_off(self):
+        """Every run gets the same executor: async_mode only changes
+        store reads, flushes and signal handling, none of which a
+        store-less serial run touches."""
+        runs = []
+        for async_mode in (False, True):
+            harness = RunHarness(_quick_config(algorithm="steady-state",
+                                               async_mode=async_mode,
+                                               population_size=4,
+                                               cycles=3))
+            report = harness.run()
+            assert report.algorithm == "evolutionary-steady-state"
+            rows = {key: repr(value)
+                    for key, value in harness.engine.cache.items()}
+            runs.append((report.arch_str, report.indicators,
+                         report.cache["misses"], rows))
+        assert runs[0] == runs[1]
+        assert runs[0][3]  # rows were computed
 
     def test_steady_state_serial_reproducible(self):
         config = _quick_config(algorithm="steady-state", async_mode=True,

@@ -1,23 +1,30 @@
-"""Pool-evaluated populations are bit-identical to serial evaluation."""
+"""Chunk workers and executor-warmed populations match serial evaluation.
 
-import random
+The executor is the runtime's one population executor,
+:class:`~repro.runtime.async_pool.AsyncPopulationExecutor`, driven through
+the blocking ``warm_population``/``warm_supernets`` hooks the engine and
+search loops duck-type.
+"""
 
 import numpy as np
 import pytest
 
 from repro.engine import Engine, supernet_state_key
 from repro.errors import SearchError
+from repro.runtime.async_pool import AsyncPopulationExecutor
 from repro.runtime.pool import (
-    PopulationExecutor,
     _chunked,
     _evaluate_genotype_chunk,
     _evaluate_supernet_chunk,
 )
 from repro.search.objective import HybridObjective
 from repro.searchspace.cell import EdgeSpec
-from repro.searchspace.genotype import Genotype
 from repro.searchspace.ops import CANDIDATE_OPS
 from repro.searchspace.space import NasBench201Space
+from tests.runtime.test_async_pool import (
+    OrderFuzzedAsyncExecutor,
+    _shuffled_order,
+)
 
 
 @pytest.fixture()
@@ -31,41 +38,15 @@ def _engine(tiny_proxy_config):
     return Engine(proxy_config=tiny_proxy_config)
 
 
-class ShuffledFakeExecutor:
-    """Computes the same worker chunks but merges in shuffled completion
-    order — models a pool whose workers finish in arbitrary order."""
-
-    def __init__(self, chunk_size=2, seed=0):
-        self.inner = PopulationExecutor(n_workers=1, chunk_size=chunk_size)
-        self.seed = seed
-
-    def _shuffled(self, fn, payloads):
-        results = [fn(p) for p in payloads]
-        order = list(range(len(results)))
-        random.Random(self.seed).shuffle(order)
-        return [results[i] for i in order]
-
-    def warm_population(self, engine, genotypes, with_latency=False):
-        self.inner._run_chunks = self._shuffled_run
-        return self.inner.warm_population(engine, genotypes,
-                                          with_latency=with_latency)
-
-    def warm_supernets(self, engine, spec_lists):
-        self.inner._run_chunks = self._shuffled_run
-        return self.inner.warm_supernets(engine, spec_lists)
-
-    def _shuffled_run(self, fn, payloads):
-        return self._shuffled(fn, payloads)
-
-
 class TestBitIdentical:
     def test_fork_pool_matches_serial(self, tiny_proxy_config, population):
         serial = _engine(tiny_proxy_config).evaluate_population(population)
-        executor = PopulationExecutor(n_workers=2, chunk_size=3)
-        pooled = _engine(tiny_proxy_config).evaluate_population(
-            population, executor=executor
-        )
-        assert executor.stats.mode == "fork-pool"
+        with AsyncPopulationExecutor(n_workers=2, chunk_size=3,
+                                     mode="fork") as executor:
+            pooled = _engine(tiny_proxy_config).evaluate_population(
+                population, executor=executor
+            )
+        assert executor.stats.mode == "fork"
         assert executor.stats.tasks == serial.unique_canonical
         for name in serial.columns:
             np.testing.assert_array_equal(serial.columns[name],
@@ -79,7 +60,8 @@ class TestBitIdentical:
         serial = _engine(tiny_proxy_config).evaluate_population(population)
         for seed in (1, 2, 3):
             shuffled = _engine(tiny_proxy_config).evaluate_population(
-                population, executor=ShuffledFakeExecutor(seed=seed)
+                population,
+                executor=OrderFuzzedAsyncExecutor(_shuffled_order(seed))
             )
             assert shuffled.unique_canonical == serial.unique_canonical
             for name in serial.columns:
@@ -92,11 +74,15 @@ class TestBitIdentical:
                   for op in CANDIDATE_OPS[:3]]
         serial_obj = HybridObjective(engine=_engine(tiny_proxy_config))
         serial_rows = serial_obj.supernet_population(states)
-        for executor in (PopulationExecutor(n_workers=2, chunk_size=1),
-                         ShuffledFakeExecutor(chunk_size=1, seed=9)):
-            pooled_obj = HybridObjective(engine=_engine(tiny_proxy_config),
-                                         executor=executor)
-            assert pooled_obj.supernet_population(states) == serial_rows
+        for executor in (
+                AsyncPopulationExecutor(n_workers=2, chunk_size=1,
+                                        mode="fork"),
+                OrderFuzzedAsyncExecutor(_shuffled_order(9), chunk_size=1)):
+            with executor:
+                pooled_obj = HybridObjective(
+                    engine=_engine(tiny_proxy_config), executor=executor)
+                assert pooled_obj.supernet_population(states) == serial_rows
+                assert executor.stats.tasks == len(states)
 
     def test_search_loop_executor_hook(self, tiny_proxy_config):
         from repro.search.random_search import ZeroShotRandomSearch
@@ -105,11 +91,12 @@ class TestBitIdentical:
             HybridObjective(engine=_engine(tiny_proxy_config)),
             num_samples=6, seed=4,
         ).search()
-        executor = PopulationExecutor(n_workers=2, chunk_size=2)
-        pooled = ZeroShotRandomSearch(
-            HybridObjective(engine=_engine(tiny_proxy_config)),
-            num_samples=6, seed=4, executor=executor,
-        ).search()
+        with AsyncPopulationExecutor(n_workers=2,
+                                     chunk_size=2) as executor:
+            pooled = ZeroShotRandomSearch(
+                HybridObjective(engine=_engine(tiny_proxy_config)),
+                num_samples=6, seed=4, executor=executor,
+            ).search()
         assert pooled.genotype == serial.genotype
         assert executor.stats.merged_rows > 0
 
@@ -131,7 +118,7 @@ class TestIncrementalMergeHook:
     def test_pool_merge_delegates_to_engine_hook(self, tiny_proxy_config,
                                                  heavy_genotype):
         engine = _engine(tiny_proxy_config)
-        executor = PopulationExecutor(n_workers=1, chunk_size=2)
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=2)
         merged = executor.warm_population(engine, [heavy_genotype])
         assert merged == 3  # ntk + linear_regions + flops
         assert executor.stats.merged_rows == 3
@@ -141,18 +128,10 @@ class TestIncrementalMergeHook:
 class TestDispatchMechanics:
     def test_serial_fallback_single_worker(self, tiny_proxy_config,
                                            population):
-        executor = PopulationExecutor(n_workers=1, chunk_size=4)
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=4)
         _engine(tiny_proxy_config).evaluate_population(population,
                                                        executor=executor)
         assert executor.stats.mode == "serial"
-
-    def test_serial_fallback_single_chunk(self, tiny_proxy_config,
-                                          population):
-        executor = PopulationExecutor(n_workers=4, chunk_size=64)
-        _engine(tiny_proxy_config).evaluate_population(population,
-                                                       executor=executor)
-        assert executor.stats.mode == "serial"
-        assert executor.stats.chunks == 1
 
     def test_partially_warm_cache_skips_cached_indicators(
         self, tiny_proxy_config, heavy_genotype
@@ -166,7 +145,7 @@ class TestDispatchMechanics:
              tiny_proxy_config, engine.macro_config)
         )
         assert set(rows[0][1]) == {"flops"}
-        executor = PopulationExecutor(n_workers=1, chunk_size=2)
+        executor = AsyncPopulationExecutor(n_workers=1, chunk_size=2)
         merged = executor.warm_population(engine, [heavy_genotype])
         assert merged == 1  # flops row only
         table = engine.evaluate_population([heavy_genotype])
@@ -176,10 +155,12 @@ class TestDispatchMechanics:
                                            population):
         engine = _engine(tiny_proxy_config)
         engine.evaluate_population(population)
-        executor = PopulationExecutor(n_workers=2, chunk_size=2)
-        engine.evaluate_population(population, executor=executor)
+        with AsyncPopulationExecutor(n_workers=2,
+                                     chunk_size=2) as executor:
+            engine.evaluate_population(population, executor=executor)
         assert executor.stats.dispatches == 0
         assert executor.stats.tasks == 0
+        assert executor.stats.gathers == 0
 
     def test_chunking_covers_everything_once(self):
         items = list(range(10))
@@ -189,9 +170,9 @@ class TestDispatchMechanics:
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(SearchError):
-            PopulationExecutor(n_workers=0)
+            AsyncPopulationExecutor(n_workers=0)
         with pytest.raises(SearchError):
-            PopulationExecutor(chunk_size=0)
+            AsyncPopulationExecutor(chunk_size=0)
 
     def test_worker_chunk_functions_round_trip(self, tiny_proxy_config,
                                                tiny_macro_config,
