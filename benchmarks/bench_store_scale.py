@@ -20,12 +20,12 @@ while the rewrite grows linearly (≥10× slower by ~100k rows).  A
 round-trip check guards against benchmarking a store that drops rows.
 
 **Warm-start load scaling** (the read-side claim): against stores of up
-to 1M+ rows, loading a fixed ~16-key population is timed through all
-three ``load_cache_into`` read modes — ``full`` (whole-store replay,
-O(store)), ``selective`` (only the shards the keys hash to) and
-``index`` (per-shard index point lookups, O(population)).  The bench
-asserts the three modes return bit-identical rows, that the index path
-stays flat as the store grows 100×, and reports the index hit rate.
+to 1M+ rows, a fixed ~16-key population is read through both
+``load_cache_into`` paths — a whole-store replay (``keys=None``,
+O(store)) and per-shard index point lookups (``keys=``,
+O(population)).  The bench asserts both paths return bit-identical
+rows for the population, that the index path stays flat as the store
+grows 100×, and reports the index hit rate.
 
 Results land in ``BENCH_store.json`` at the repo root.  Run directly
 (``python benchmarks/bench_store_scale.py``) or via pytest
@@ -93,6 +93,23 @@ def _format1_rewrite_save(path: Path, fingerprint: Dict,
     return len(ordered)
 
 
+class _PopulationSink:
+    """A duck-typed cache that keeps only the population's rows: the
+    replay still parses and merges every row, but a 1M-row store is not
+    held in memory a second time."""
+
+    def __init__(self, keys) -> None:
+        self.keys = set(keys)
+        self.rows: Dict = {}
+
+    def __contains__(self, key) -> bool:
+        return False
+
+    def put(self, key, value) -> None:
+        if key in self.keys:
+            self.rows[key] = value
+
+
 def run_load_scale() -> Dict:
     """Warm-start read cost for a fixed population vs store size."""
     proxy_config = ProxyConfig()
@@ -120,34 +137,28 @@ def run_load_scale() -> Dict:
             stride = size // LOAD_POPULATION
             population = [_key(j * stride) for j in range(LOAD_POPULATION)]
 
-            timings = {}
-            results = {}
-            for mode in ("full", "selective", "index"):
-                target = IndicatorCache()
-                with Timer() as timer:
-                    loaded = store.load_cache_into(target, fingerprint,
-                                                   keys=population,
-                                                   read_mode=mode)
-                assert loaded == LOAD_POPULATION, (mode, loaded)
-                timings[mode] = timer.elapsed
-                results[mode] = dict(target.items())
-            stats = store.last_load_stats  # the index-mode load's stats
-            if not (results["full"] == results["selective"]
-                    == results["index"]):
+            sink = _PopulationSink(population)
+            with Timer() as full_timer:
+                loaded = store.load_cache_into(sink, fingerprint)
+            assert loaded == size, loaded
+            target = IndicatorCache()
+            with Timer() as index_timer:
+                loaded = store.load_cache_into(target, fingerprint,
+                                               keys=population)
+            assert loaded == LOAD_POPULATION, loaded
+            stats = store.last_load_stats  # the index load's stats
+            if sink.rows != dict(target.items()):
                 bit_identical = False
 
             load_points.append({
                 "store_size": size,
                 "requested": LOAD_POPULATION,
-                "full_load_seconds": timings["full"],
-                "selective_load_seconds": timings["selective"],
-                "index_load_seconds": timings["index"],
+                "full_load_seconds": full_timer.elapsed,
+                "index_load_seconds": index_timer.elapsed,
                 "index_hit_rate": (stats["index_hits"]
                                    / max(stats["requested"], 1)),
-                "selective_speedup": (timings["full"]
-                                      / max(timings["selective"], 1e-9)),
-                "index_speedup": (timings["full"]
-                                  / max(timings["index"], 1e-9)),
+                "index_speedup": (full_timer.elapsed
+                                  / max(index_timer.elapsed, 1e-9)),
             })
 
     index_flat = (load_points[-1]["index_load_seconds"]
@@ -161,8 +172,6 @@ def run_load_scale() -> Dict:
         # ~1.0 means warm-start latency is O(population), flat in store
         # size across a 100x growth.
         "index_load_flatness_ratio": index_flat,
-        "selective_load_speedup_at_largest":
-            load_points[-1]["selective_speedup"],
         "index_load_speedup_at_largest": load_points[-1]["index_speedup"],
         "index_hit_rate": load_points[-1]["index_hit_rate"],
         "read_paths_bit_identical": bit_identical,
@@ -240,7 +249,7 @@ def test_store_scale(benchmark):
     # ...and append cost is roughly flat in store size (generous bound:
     # the rewrite grows ~100x over the same range).
     assert result["format2_flatness_ratio"] <= 10.0
-    # Read side: the three read modes must agree bit-for-bit...
+    # Read side: replay and index reads must agree bit-for-bit...
     assert result["read_paths_bit_identical"] is True
     # ...every requested key must come off the index (fresh after
     # compaction; hit rate 1.0 means zero replay fallbacks)...
@@ -249,10 +258,6 @@ def test_store_scale(benchmark):
     # grows 100x (generous bound — full replay grows ~100x; a truly
     # store-size-dependent index path would blow far past this).
     assert result["index_load_flatness_ratio"] <= 10.0
-    # Selective replay reads shards_touched/shards of the store; with 16
-    # keys over 64 shards that is at most a quarter, so even the weakest
-    # selective win must beat full replay clearly at 1M rows.
-    assert result["selective_load_speedup_at_largest"] >= 2.0
 
 
 def _report(result: Dict) -> None:
@@ -273,10 +278,7 @@ def _report(result: Dict) -> None:
     for point in result["load_points"]:
         print(f"store {point['store_size']:>9,} rows | "
               f"load {point['requested']} keys | "
-              f"full: {format_duration(point['full_load_seconds'])} | "
-              f"selective: "
-              f"{format_duration(point['selective_load_seconds'])} "
-              f"({point['selective_speedup']:.1f}x) | "
+              f"replay: {format_duration(point['full_load_seconds'])} | "
               f"index: {format_duration(point['index_load_seconds'])} "
               f"({point['index_speedup']:.1f}x, "
               f"hit rate {point['index_hit_rate']:.2f})")

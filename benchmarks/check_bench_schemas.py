@@ -74,9 +74,8 @@ SCHEMAS: Dict[str, List[str]] = {
     "BENCH_store.json": [
         "store_sizes", "delta_rows", "points", "format2_flatness_ratio",
         "speedup_at_largest",
-        # Read-side (warm-start) scaling: selective/index load modes.
+        # Read-side (warm-start) scaling: whole-store replay vs index.
         "load_store_sizes", "load_points", "index_load_flatness_ratio",
-        "selective_load_speedup_at_largest",
         "index_load_speedup_at_largest", "index_hit_rate",
         "read_paths_bit_identical",
     ],

@@ -133,7 +133,6 @@ def cmd_runtime(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         async_mode=args.async_mode,
         store_dir=args.store,
-        store_read_mode=args.store_read_mode,
         max_cache_rows=args.max_cache_rows,
         device=args.device,
         samples=args.samples,
@@ -279,7 +278,6 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
     try:
         stats = run_worker(args.connect, store_dir=args.store,
                            token=args.token, poll_seconds=args.poll,
-                           read_mode=args.read_mode,
                            max_chunks=args.max_chunks)
     except ReproError as exc:
         raise SystemExit(str(exc))
@@ -729,25 +727,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_runtime.add_argument("--chunk-size", type=int, default=8,
                            help="candidates per worker task")
     p_runtime.add_argument("--async", dest="async_mode", action="store_true",
-                           help="async runtime: index store reads by "
-                                "default, a store flush after every "
-                                "gather, graceful SIGINT/SIGTERM drain "
-                                "(required by the --fleet-* options)")
+                           help="async runtime: index point lookups for "
+                                "warm starts at submit time (sync runs "
+                                "replay the whole store up front), a "
+                                "store flush after every gather, graceful "
+                                "SIGINT/SIGTERM drain (required by the "
+                                "--fleet-* options)")
     p_runtime.add_argument("--store", default=None,
                            help="directory for the persistent indicator/LUT "
                                 "store (created if missing)")
-    p_runtime.add_argument("--store-read-mode", dest="store_read_mode",
-                           choices=("auto", "full", "selective", "index"),
-                           default="auto",
-                           help="how warm-start reads the store: full "
-                                "(eager whole-store replay), selective "
-                                "(replay only the shards each population's "
-                                "keys hash to) or index (per-shard index "
-                                "point lookups — O(population), for "
-                                "million-row stores); the default auto "
-                                "picks index for --async runs and full "
-                                "for synchronous ones (--store-read-mode "
-                                "full is the async opt-out)")
     p_runtime.add_argument("--max-cache-rows", dest="max_cache_rows",
                            type=int, default=None,
                            help="LRU bound on in-memory cache rows "
@@ -869,11 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet_worker.add_argument("--token", default="",
                                 help="shared fleet token (must match the "
                                      "broker's --fleet-token)")
-    p_fleet_worker.add_argument("--read-mode", dest="read_mode",
-                                choices=("full", "selective", "index"),
-                                default="index",
-                                help="store read mode for warm starts "
-                                     "(default: index point lookups)")
     p_fleet_worker.add_argument("--poll", type=float, default=0.2,
                                 metavar="SECS",
                                 help="sleep between lease attempts while "

@@ -692,9 +692,9 @@ class AsyncPopulationExecutor:
         #: candidate cache keys neither cached nor owned by an in-flight
         #: chunk, and expected to merge whatever the persistent store
         #: holds for them into the engine's cache (the harness wires it
-        #: to a shard-selective / indexed store read — see
-        #: ``RuntimeConfig.store_read_mode``).  Keys the loader fills are
-        #: then never shipped for recompute.
+        #: to an index store read for async runs — see
+        #: ``RuntimeConfig.async_mode``).  Keys the loader fills are then
+        #: never shipped for recompute.
         self.cache_loader = cache_loader
         self.telemetry = (telemetry if telemetry is not None
                           else Telemetry.disabled())

@@ -658,7 +658,6 @@ class FleetPool:
         return self.broker.address
 
     def spawn_local_workers(self, n: int, store_dir=None,
-                            read_mode: str = "index",
                             poll_seconds: float = 0.05) -> List:
         """Fork ``n`` local worker processes against this pool's broker
         (the single-host fan-out path the benchmarks and the harness's
@@ -666,7 +665,6 @@ class FleetPool:
         They exit on drain/close; :meth:`close` reaps them."""
         procs = [spawn_local_worker(self.address, store_dir=store_dir,
                                     token=self.broker.token,
-                                    read_mode=read_mode,
                                     poll_seconds=poll_seconds)
                  for _ in range(n)]
         self._local_procs.extend(procs)
@@ -836,10 +834,10 @@ def _genotype_payload(payload: object) -> bool:
 
 
 def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
-                         fingerprint_cache: Dict, read_mode: str,
+                         fingerprint_cache: Dict,
                          stats: FleetWorkerStats) -> Tuple:
     """Evaluate one genotype chunk with the store as warm-start medium:
-    rows the shared store already holds are *read* (index-mode point
+    rows the shared store already holds are *read* (index point
     lookups) instead of recomputed, the rest are computed through the
     shipped worker and flushed back under the store's shard flocks.
     The combined result is bit-identical to a cold evaluation — stored
@@ -865,7 +863,7 @@ def _warm_start_evaluate(worker_fn: Callable, payload: Tuple, store,
     scratch = IndicatorCache()
     if wanted:
         stats.store_rows_loaded += store.load_cache_into(
-            scratch, fingerprint, keys=wanted, read_mode=read_mode)
+            scratch, fingerprint, keys=wanted)
     stored_rows: List[Tuple] = []
     reduced: List[Tuple] = []
     for ops, needs, index, keys in per_item:
@@ -907,7 +905,7 @@ def _picklable_error(error: BaseException) -> BaseException:
 
 
 def run_worker(connect: str, store_dir=None, token: str = "",
-               poll_seconds: float = 0.2, read_mode: str = "index",
+               poll_seconds: float = 0.2,
                max_chunks: Optional[int] = None,
                socket_timeout: float = 60.0) -> FleetWorkerStats:
     """The fleet worker client loop (``micronas fleet worker``).
@@ -968,7 +966,7 @@ def run_worker(connect: str, store_dir=None, token: str = "",
                 if store is not None and _genotype_payload(payload):
                     value = _warm_start_evaluate(
                         worker_fn, payload, store, fingerprint_cache,
-                        read_mode, stats)
+                        stats)
                 else:
                     value = worker_fn(payload)
             except Exception as exc:
@@ -998,17 +996,16 @@ def run_worker(connect: str, store_dir=None, token: str = "",
 
 
 def _local_worker_main(connect: str, store_dir, token: str,
-                       read_mode: str, poll_seconds: float) -> None:
+                       poll_seconds: float) -> None:
     """Entry point of a forked local worker process."""
     try:
         run_worker(connect, store_dir=store_dir, token=token,
-                   read_mode=read_mode, poll_seconds=poll_seconds)
+                   poll_seconds=poll_seconds)
     except Exception:
         os._exit(13)  # broker gone / protocol error: just die quietly
 
 
 def spawn_local_worker(connect: str, store_dir=None, token: str = "",
-                       read_mode: str = "index",
                        poll_seconds: float = 0.05):
     """Fork one local worker process running :func:`run_worker` against
     ``connect``; returns the started ``multiprocessing.Process``.  Fork
@@ -1019,7 +1016,7 @@ def spawn_local_worker(connect: str, store_dir=None, token: str = "",
 
     process = multiprocessing.get_context("fork").Process(
         target=_local_worker_main,
-        args=(connect, store_dir, token, read_mode, poll_seconds),
+        args=(connect, store_dir, token, poll_seconds),
         daemon=True, name="fleet-worker")
     process.start()
     return process

@@ -30,7 +30,7 @@ from repro.errors import SearchError
 from repro.proxies.base import ProxyConfig
 from repro.runtime.async_pool import AsyncPopulationExecutor
 from repro.runtime.faults import FaultPolicy
-from repro.runtime.store import READ_MODES, RuntimeStore, cache_fingerprint
+from repro.runtime.store import RuntimeStore, cache_fingerprint
 from repro.runtime.telemetry import Heartbeat, Telemetry
 from repro.search.result import SearchResult
 from repro.searchspace.genotype import Genotype
@@ -49,22 +49,14 @@ class RuntimeConfig:
     algorithm: str = "random"
     n_workers: int = 1
     chunk_size: int = 8
-    #: Long-running-run behaviour on top of the one executor: "auto"
-    #: store reads resolve to index mode, the store is flushed after every
-    #: gather, SIGINT/SIGTERM drain the run, and the fleet may be used.
+    #: Long-running-run behaviour on top of the one executor: warm starts
+    #: read the store by index point lookups at submit time (only each
+    #: population's keys — O(population); fleet workers warm-start the
+    #: same way) instead of one eager whole-store replay at construction,
+    #: the store is flushed after every gather, SIGINT/SIGTERM drain the
+    #: run, and the fleet may be used.  See :mod:`repro.runtime.store`.
     async_mode: bool = False
     store_dir: Optional[str] = None
-    #: How warm-start reads the store: "full" (eager whole-store replay
-    #: at harness construction — right when the run will touch most of
-    #: it), "selective" (replay only the shards each population's keys
-    #: hash to, at submit time) or "index" (point lookups through the
-    #: per-shard index sidecars — O(population), the million-row-store
-    #: mode).  The default "auto" resolves to "index" for async runs
-    #: (submit-time preloads only ever want each population's keys, and
-    #: fleet workers warm-start the same way) and "full" for synchronous
-    #: runs (which still replay eagerly); pass "full" explicitly to opt
-    #: an async run out.  See :mod:`repro.runtime.store`.
-    store_read_mode: str = "auto"
     #: LRU bound on in-memory cache rows (None = unbounded).  Dirty rows
     #: are pinned until flushed; see :mod:`repro.engine.cache`.
     max_cache_rows: Optional[int] = None
@@ -430,11 +422,6 @@ class RunHarness:
         from repro.autograd.precision import resolve_policy
 
         resolve_policy(config.precision)
-        if config.store_read_mode not in READ_MODES + ("auto",):
-            raise SearchError(
-                f"unknown store_read_mode {config.store_read_mode!r}; "
-                f"valid: {('auto',) + READ_MODES}"
-            )
         if (config.fleet_bind or config.fleet_workers) \
                 and not config.async_mode:
             raise SearchError(
@@ -474,21 +461,19 @@ class RunHarness:
         self.fingerprint = cache_fingerprint(self.proxy_config,
                                              self.macro_config,
                                              cost_axes=extra_axes)
-        #: The resolved read mode ("auto" picks "index" for async runs,
-        #: "full" for synchronous ones — see :class:`RuntimeConfig`).
-        self.store_read_mode = (
-            config.store_read_mode if config.store_read_mode != "auto"
-            else ("index" if config.async_mode else "full"))
-        # Rows warm-started from the store (eagerly below for "full";
-        # accumulated per submit-time preload for selective/index reads).
+        #: How warm starts read the store (reported as
+        #: ``store["read_mode"]``): async runs do index point lookups at
+        #: submit time, synchronous runs replay it all at construction.
+        self.read_mode = "index" if config.async_mode else "full"
+        # Rows warm-started from the store (eagerly below for sync runs;
+        # accumulated per submit-time preload for async ones).
         self.warm_entries = 0
-        # The executors' warm-start seam: selective/index read modes
-        # defer store reads to submit time, loading only what each
-        # population actually asks for — O(population), not O(store).
+        # The executors' warm-start seam: async runs defer store reads
+        # to submit time, loading only what each population actually
+        # asks for — O(population), not O(store).
         cache_loader = (
             self._load_store_keys
-            if self.store is not None and self.store_read_mode != "full"
-            else None
+            if self.store is not None and config.async_mode else None
         )
         pool = None
         if config.fleet_bind or config.fleet_workers:
@@ -521,10 +506,8 @@ class RunHarness:
         if pool is not None and config.fleet_workers:
             # Local fan-out: forked workers share the store for warm
             # starts and flush their rows under its flocks.
-            pool.spawn_local_workers(
-                config.fleet_workers, store_dir=config.store_dir,
-                read_mode=(self.store_read_mode
-                           if self.store_read_mode != "full" else "index"))
+            pool.spawn_local_workers(config.fleet_workers,
+                                     store_dir=config.store_dir)
         from repro.engine.cache import IndicatorCache
 
         self.engine = Engine(
@@ -535,7 +518,7 @@ class RunHarness:
             telemetry=self.telemetry,
             cache=IndicatorCache(max_rows=config.max_cache_rows),
         )
-        if self.store is not None and self.store_read_mode == "full":
+        if self.store is not None and not config.async_mode:
             self.warm_entries = self.store.load_cache_into(
                 self.engine.cache, self.fingerprint)
         #: Rows appended to the store by mid-run flushes (async only).
@@ -558,10 +541,9 @@ class RunHarness:
 
     def _load_store_keys(self, keys) -> int:
         """The executors' ``cache_loader`` hook: pull exactly the
-        requested keys from the store via the configured read mode."""
+        requested keys from the store by index point lookups."""
         loaded = self.store.load_cache_into(
-            self.engine.cache, self.fingerprint, keys=keys,
-            read_mode=self.store_read_mode)
+            self.engine.cache, self.fingerprint, keys=keys)
         self.warm_entries += loaded
         return loaded
 
@@ -719,7 +701,7 @@ class RunHarness:
             pool=self.executor.stats.to_dict(),
             store={
                 "dir": self.config.store_dir,
-                "read_mode": self.store_read_mode,
+                "read_mode": self.read_mode,
                 "cache_loaded": self.warm_entries,
                 "cache_saved": saved_entries,
                 "luts": (self.store.lut_keys()
@@ -827,7 +809,7 @@ class RunHarness:
             },
             store={
                 "dir": config.store_dir,
-                "read_mode": self.store_read_mode,
+                "read_mode": self.read_mode,
                 "cache_loaded": self.warm_entries,
                 "cache_saved": saved_entries,
                 "luts": (self.store.lut_keys()

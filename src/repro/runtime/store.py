@@ -15,9 +15,6 @@ store that makes both survive:
           shard-03.base.jsonl             # compacted rows of shard 3
           shard-03.idx.json               # key index sidecar of shard 3
           shard-03.seg-00000002.4711.jsonl  # one append per save
-          base.json                       # pre-index monolithic base
-                                          # (legacy; folded away by the
-                                          # next compaction)
 
   ``save_cache`` appends only the cache's **dirty rows** (those written
   since the last load/save — :meth:`~repro.engine.cache.IndicatorCache.
@@ -25,60 +22,52 @@ store that makes both survive:
   shard gets one new atomically-renamed JSONL segment per save, numbered
   under the shard's own ``flock``.  Persistence cost is therefore O(rows
   this run computed), independent of how large the store already is — the
-  property process fleets sharing one store directory need.  Loading
-  replays monolithic ``base.json`` (oldest), then each shard's
-  ``.base.jsonl``, then every segment in ``(shard, sequence, pid)``
-  order with **last-write-wins** per key; a **compaction** pass
-  (:meth:`RuntimeStore.compact_cache`, the ``micronas store compact`` CLI,
-  or automatically once accumulated segments rival the bases in bytes,
-  past an :attr:`RuntimeStore.auto_compact_segments` file-count floor —
-  log-structured amortization) folds everything into the per-shard
-  ``.base.jsonl`` files under the base + every shard lock; loads replay
-  under the base lock too, so readers and concurrent appenders racing a
-  compaction lose nothing.
+  property process fleets sharing one store directory need.  Replay reads
+  each shard's ``.base.jsonl``, then every segment in ``(shard,
+  sequence, pid)`` order with **last-write-wins** per key; a
+  **compaction** pass (:meth:`RuntimeStore.compact_cache`, the ``micronas
+  store compact`` CLI, or automatically once accumulated segments rival
+  the bases in bytes, past an :attr:`RuntimeStore.auto_compact_segments`
+  file-count floor — log-structured amortization) folds everything into
+  the per-shard ``.base.jsonl`` files under the base lock plus every
+  shard lock; loads hold the base lock shared, so readers and concurrent
+  appenders racing a compaction lose nothing.
 
-  **Read paths.**  :meth:`RuntimeStore.load_cache_into` takes
-  ``keys=`` + ``read_mode=``:
+  **Read paths.**  :meth:`RuntimeStore.load_cache_into` picks one of two
+  by its ``keys=`` argument:
 
-  * ``"full"`` (default, and always used when ``keys`` is ``None``) —
-    replay the whole directory: O(store), the right call when a run
-    genuinely wants everything resident;
-  * ``"selective"`` — replay only the shards the requested keys hash
-    to: O(store ÷ shards × shards touched), a constant-factor win that
-    grows with the shard count;
-  * ``"index"`` — point lookups through each shard's ``.idx.json``
-    sidecar: O(population · log shard), independent of store size.  The
-    index maps key digests to ``[file, byte offset, length]`` of the
-    key's newest row, LSM-style so neither reads nor writes ever touch
-    the whole sidecar: line 1 is a JSON header (``row`` width,
-    ``sorted`` record count, ``files`` table, ``covers``), followed by
-    ``sorted`` digest-ordered **fixed-width records** that lookups
-    binary-search with seeks, followed by one appended JSON tail record
-    per flush (``{"e": {digest: slot}, "c": [segment, bytes]}``) —
-    compaction rebuilds the whole sidecar atomically with everything
-    folded into the sorted region; each flush *appends one tail line
-    under the shard flock*, keeping save cost O(delta).  Staleness is
-    detected by comparing the merged ``covers`` — the ``[name, bytes]``
-    of every shard file the index reflects (header covers plus one per
-    tail record) — against the directory: any mismatch (a writer
-    without index support, a torn segment or index tail, a hand-edited
-    file) falls back to replaying that shard, so indexed reads are
-    always bit-identical to replay.  A fresh index is authoritative: a
-    digest in neither the tail nor the sorted region is a miss, served
-    without touching segment data at all.
+  * ``keys=None`` — replay every shard base and segment: O(store), for
+    runs that want everything resident (synchronous harness runs);
+  * ``keys=`` — point lookups through each shard's ``.idx.json``
+    sidecar: O(population · log shard), independent of store size (the
+    async harness's submit-time preloads and fleet workers).  The index
+    maps key digests to ``[file, byte offset, length]`` of the key's
+    newest row, LSM-style so neither reads nor writes ever touch the
+    whole sidecar: line 1 is a JSON header (``row`` width, ``sorted``
+    record count, ``files`` table, ``covers``), followed by ``sorted``
+    digest-ordered **fixed-width records** that lookups binary-search
+    with seeks, followed by one appended JSON tail record per flush
+    (``{"e": {digest: slot}, "c": [segment, bytes]}``) — compaction
+    rebuilds the whole sidecar atomically with everything folded into
+    the sorted region; each flush *appends one tail line under the shard
+    flock*, keeping save cost O(delta).  Staleness is detected by
+    comparing the merged ``covers`` — the ``[name, bytes]`` of every
+    shard file the index reflects (header covers plus one per tail
+    record) — against the directory: any mismatch (a writer without
+    index support, a torn segment or index tail, a hand-edited file)
+    falls back to replaying that shard, so indexed reads are always
+    bit-identical to replay.  A fresh index is authoritative: a digest
+    in neither the tail nor the sorted region is a miss, served without
+    touching segment data at all.
 
   Cache keys are plain nested tuples of strings and integers (the key
   contract in :mod:`repro.engine`), round-tripped through JSON with a
   recursive list↔tuple conversion; values may be ``inf``/``nan``.  The
   fingerprint guards the global assumptions (store format, indicator
-  schema, proxy/macro config, proxy compute precision) — a mismatched
-  directory loads nothing, so stale entries can never poison results, and
-  float32/float64 runs keep separate directories.
-
-  **Format-1 read-compat:** the monolithic ``indicator_cache__*.json``
-  files earlier versions wrote still load (validated under their own
-  format-1 fingerprint), and the first ``save_cache`` migrates them into
-  the format-2 directory, after which the legacy file is removed.
+  schema, proxy/macro config, proxy compute precision) — a directory
+  whose ``meta.json`` records another fingerprint loads nothing, so stale
+  entries can never poison results, and float32/float64 runs keep
+  separate directories.
 
 * **Latency LUTs** — one file per ``(device, precision, macro config)``
   key, written under a ``flock`` with :meth:`~repro.hardware.profiler.
@@ -127,8 +116,8 @@ from repro.runtime.tracing import CAT_STORE
 from repro.searchspace.network import MacroConfig
 
 #: Bump when the meaning of cached values or the on-disk layout changes;
-#: old store files then self-invalidate (LUTs) or are migrated (indicator
-#: caches — format 1 has an explicit read path below).  Format 2: sharded
+#: old store files then self-invalidate: the fingerprint, and with it the
+#: cache directory name and LUT sidecar, changes.  Format 2: sharded
 #: append-only indicator segments + device-name-keyed LUT digests.
 STORE_FORMAT = 2
 
@@ -169,9 +158,6 @@ _SHARD_BASE_RE = re.compile(r"^shard-(?P<shard>\d+)\.base\.jsonl$")
 #: (see :func:`_atomic_write_text`); ``gc`` parses it back out to spare
 #: a *live* writer's staging file regardless of age.
 _TMP_PID_RE = re.compile(r"\.(?P<pid>\d+)\.tmp$")
-
-#: Valid ``read_mode`` values for :meth:`RuntimeStore.load_cache_into`.
-READ_MODES = ("full", "selective", "index")
 
 #: Fixed byte width of one sorted index record:
 #: ``digest(16) + " " + file(6) + " " + offset(12) + " " + length(8) +
@@ -232,13 +218,6 @@ def cache_fingerprint(proxy_config: ProxyConfig,
     if cost_axes:
         fingerprint["costs"] = sorted(cost_axes)
     return fingerprint
-
-
-def _legacy_fingerprint(fingerprint: Dict) -> Dict:
-    """The same identity as format 1 wrote it (only ``format`` differs
-    — indicator values are bit-compatible across the layout change, which
-    is what makes read-side migration sound)."""
-    return dict(fingerprint, format=1)
 
 
 def _encode_key(key):
@@ -385,9 +364,10 @@ class RuntimeStore:
         #: How the last :meth:`load_cache_into` call did its reads —
         #: ``{"mode", "requested", "found", "index_hits",
         #: "index_fallback_shards", "index_filtered",
-        #: "shards_touched"}`` (``None`` until the first load;
+        #: "shards_touched"}``, ``mode`` being ``"full"`` (replay) or
+        #: ``"index"`` (``keys=``).  ``None`` until the first load;
         #: ``requested``/``shards_touched`` are ``None`` for whole-store
-        #: loads).  Diagnostics + benchmark surface.
+        #: loads.  Diagnostics + benchmark surface.
         self.last_load_stats: Optional[Dict] = None
 
     # ------------------------------------------------------------------
@@ -400,13 +380,11 @@ class RuntimeStore:
         of overwriting each other's warm-start data."""
         return self.root / f"cache2__{_fingerprint_digest(fingerprint)}"
 
-    def legacy_cache_path(self, fingerprint: Dict) -> Path:
-        """Where store format 1 kept this fingerprint's monolithic file
-        (still read, and migrated into :meth:`cache_dir` on first save)."""
-        digest = _fingerprint_digest(_legacy_fingerprint(fingerprint))
-        return self.root / f"indicator_cache__{digest}.json"
-
-    def _base_path(self, directory: Path) -> Path:
+    def _base_lock_target(self, directory: Path) -> Path:
+        # The directory-wide lock compaction holds exclusively and loads
+        # hold shared.  Its sidecar keeps the historical name
+        # ``base.json.lock`` so processes of every version sharing one
+        # store still exclude each other's compactions.
         return directory / "base.json"
 
     def _shard_base_path(self, directory: Path, shard: int) -> Path:
@@ -490,6 +468,13 @@ class RuntimeStore:
             found.append((index, path))
         return [item[1] for item in sorted(found)]
 
+    def _shard_files(self, directory: Path,
+                     shard: Optional[int] = None) -> List[Path]:
+        """Every file holding rows, in replay order: bases, then
+        segments."""
+        return (self._shard_base_files(directory, shard=shard)
+                + self._segment_files(directory, shard=shard))
+
     def _next_segment_path(self, directory: Path, shard: int) -> Path:
         """Next sequence number for this shard (call under its lock)."""
         last = 0
@@ -501,15 +486,9 @@ class RuntimeStore:
     def _shard_state(self, directory: Path, shard: int) -> List[List]:
         """``[name, bytes]`` of every file holding this shard's rows, in
         replay order (base first, then segments) — the coverage token the
-        index's staleness check compares against.  The monolithic
-        ``base.json`` is deliberately excluded: no index ever covers it,
-        so index-mode readers always merge it separately while it still
-        exists."""
+        index's staleness check compares against."""
         state = []
-        for path in self._shard_base_files(directory, shard=shard):
-            with contextlib.suppress(OSError):
-                state.append([path.name, path.stat().st_size])
-        for path in self._segment_files(directory, shard=shard):
+        for path in self._shard_files(directory, shard=shard):
             with contextlib.suppress(OSError):
                 state.append([path.name, path.stat().st_size])
         return state
@@ -604,12 +583,11 @@ class RuntimeStore:
         anyway.  A caller without dirty tracking (any mapping exposing
         ``items()``) falls back to appending everything.
 
-        First save against a fingerprint also migrates its format-1
-        monolithic file into the directory, and once the directory
-        accumulates :attr:`auto_compact_segments` segment files the save
-        triggers a compaction.  A zero-delta save with nothing to
-        migrate returns without touching the directory at all, so the
-        harness's every-gather flush is free on cache-hit-heavy gathers.
+        Once the directory accumulates enough segments (see
+        :meth:`_should_auto_compact`) the save triggers a compaction.  A
+        zero-delta save returns without touching the directory at all,
+        so the harness's every-gather flush is free on cache-hit-heavy
+        gathers.
         Non-JSON-serialisable values, which the engine never produces,
         are skipped rather than corrupting the store (and stay dirty).
 
@@ -631,10 +609,9 @@ class RuntimeStore:
     def _save_cache_impl(self, cache: IndicatorCache,
                          fingerprint: Dict) -> int:
         rows = list(getattr(cache, "dirty_items", cache.items)())
-        if not rows and not self.legacy_cache_path(fingerprint).exists():
+        if not rows:
             return 0
         directory, n_shards = self._ensure_dir(fingerprint)
-        self._migrate_legacy(directory, fingerprint)
         by_shard: Dict[int, List[Tuple[str, str]]] = {}
         appended_keys = []
         for key, value in rows:
@@ -740,8 +717,7 @@ class RuntimeStore:
         if len(segments) > threshold * 16:
             return True
         base_bytes = 0
-        for path in ([self._base_path(directory)]
-                     + self._shard_base_files(directory)):
+        for path in self._shard_base_files(directory):
             with contextlib.suppress(OSError):
                 base_bytes += path.stat().st_size
         if base_bytes == 0:
@@ -752,273 +728,109 @@ class RuntimeStore:
                 segment_bytes += segment.stat().st_size
         return segment_bytes >= base_bytes
 
-    def _migrate_legacy(self, directory: Path, fingerprint: Dict) -> int:
-        """Fold a format-1 monolithic file into ``base.json`` and remove
-        it; returns rows migrated (0 when there is nothing to migrate).
-        Rows already in the format-2 base win — they are newer."""
-        legacy_path = self.legacy_cache_path(fingerprint)
-        if not legacy_path.exists():
-            return 0
-        with _file_lock(legacy_path):
-            if not legacy_path.exists():  # another process migrated first
-                return 0
-            entries = self._read_legacy(legacy_path, fingerprint)
-            if entries is None:
-                return 0  # unreadable/foreign: leave it for diagnosis
-            base_path = self._base_path(directory)
-            with _file_lock(base_path):
-                merged = dict(entries)
-                merged.update(self._read_base(directory, fingerprint) or {})
-                self._write_base(directory, fingerprint, merged)
-            legacy_path.unlink()
-            return len(entries)
-
-    def _read_entries(self, path: Path, expected_fingerprint: Dict
-                      ) -> Tuple[Optional[Dict[Tuple, object]],
-                                 Optional[str]]:
-        """Parse one monolithic payload file (legacy or base): returns
-        ``(entries, problem)`` with exactly one of them ``None`` — the
-        single parse/validate path every reader shares."""
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (ValueError, OSError) as exc:
-            return None, f"unreadable cache file: {exc}"
-        if (not isinstance(payload, dict)
-                or payload.get("fingerprint") != expected_fingerprint):
-            return None, (
-                "fingerprint mismatch: persisted cache was written under a "
-                "different proxy/macro configuration or store format"
-            )
-        try:
-            return ({_decode_key(encoded): value
-                     for encoded, value in payload.get("entries", [])},
-                    None)
-        except (TypeError, ValueError):
-            return None, f"malformed cache payload: {path.name}"
-
-    def _read_legacy(self, path: Path,
-                     fingerprint: Dict) -> Optional[Dict[Tuple, object]]:
-        return self._read_entries(path, _legacy_fingerprint(fingerprint))[0]
-
-    def _read_base(self, directory: Path,
-                   fingerprint: Dict) -> Optional[Dict[Tuple, object]]:
-        """Base entries, or ``None`` when absent/unreadable/mismatched."""
-        base_path = self._base_path(directory)
-        if not base_path.exists():
-            return None
-        return self._read_entries(base_path, fingerprint)[0]
-
-    def _write_base(self, directory: Path, fingerprint: Dict,
-                    entries: Dict[Tuple, object]) -> None:
-        ordered = sorted(entries.items(), key=lambda kv: repr(kv[0]))
-        payload = {
-            "fingerprint": fingerprint,
-            "entries": [[_encode_key(key), value] for key, value in ordered],
-        }
-        _atomic_write_text(self._base_path(directory),
-                           json.dumps(payload) + "\n")
-
     # ------------------------------------------------------------------
     # Indicator cache — load (replay with last-write-wins)
     # ------------------------------------------------------------------
     def load_cache_into(self, cache: IndicatorCache, fingerprint: Dict,
                         strict: bool = False,
-                        keys: Optional[Iterable] = None,
-                        read_mode: str = "full") -> int:
+                        keys: Optional[Iterable] = None) -> int:
         """Merge persisted entries into ``cache``; returns how many landed.
 
-        With ``keys=None`` (the default) the whole store replays:
-        monolithic ``base.json``, per-shard ``.base.jsonl`` files, then
-        every segment in order (last write wins per key), plus any
-        not-yet-migrated format-1 file (oldest, so format-2 rows override
-        it).  With ``keys=`` an iterable of cache keys, only those keys
-        are merged, and ``read_mode`` picks the I/O strategy — ``"full"``
-        (replay everything, filter), ``"selective"`` (replay only the
-        shards the keys hash to) or ``"index"`` (point lookups through
-        the per-shard index sidecars, falling back to replaying any shard
-        whose index is stale or missing).  All three are bit-identical in
-        what they merge; they differ only in read cost (see the module
-        docstring).  ``last_load_stats`` records how the load went.
+        With ``keys=None`` (the default) the whole store replays: every
+        shard's ``.base.jsonl``, then every segment in order (last write
+        wins per key).  With ``keys=`` an iterable of cache keys, only
+        those keys are merged, through point lookups in the per-shard
+        index sidecars; a shard whose index is stale or missing falls
+        back to replaying that shard.  Both paths merge bit-identical
+        rows and differ only in read cost (see the module docstring).
+        ``last_load_stats`` records how the load went.
 
-        A missing store, unreadable JSON or a fingerprint mismatch loads
-        nothing from the offending part (``last_rejection`` says why);
-        with ``strict=True`` a *present but rejected* file raises
+        A missing store loads nothing; a fingerprint mismatch loads
+        nothing from the directory, and an unreadable ``meta.json`` is
+        reported but the rows still replay (``last_rejection`` says
+        why).  With ``strict=True`` either problem raises
         :class:`StoreError` instead, so CI can distinguish "cold" from
         "poisoned".  Entries already in the cache keep their in-memory
         value; loaded rows are marked clean, so the next
         :meth:`save_cache` does not re-append them.
         """
-        if read_mode not in READ_MODES:
-            raise StoreError(f"unknown read_mode {read_mode!r}: expected "
-                             f"one of {READ_MODES}")
         tel = self.telemetry
         if not tel.enabled:
-            return self._load_any_impl(cache, fingerprint, strict, keys,
-                                       read_mode)
+            return self._load_cache_impl(cache, fingerprint, strict, keys)
         with tel.span("store_load", CAT_STORE) as span:
-            loaded = self._load_any_impl(cache, fingerprint, strict, keys,
-                                         read_mode)
-            stats = self.last_load_stats or {}
-            span.note(rows=loaded, mode=stats.get("mode", read_mode),
-                      index_hits=stats.get("index_hits", 0))
-            tel.count("store.index_hits", stats.get("index_hits", 0))
+            loaded = self._load_cache_impl(cache, fingerprint, strict, keys)
+            stats = self.last_load_stats
+            span.note(rows=loaded, mode=stats["mode"],
+                      index_hits=stats["index_hits"])
+            tel.count("store.index_hits", stats["index_hits"])
             tel.count("store.index_fallbacks",
-                      stats.get("index_fallback_shards", 0))
-            tel.count("store.index_filtered",
-                      stats.get("index_filtered", 0))
+                      stats["index_fallback_shards"])
+            tel.count("store.index_filtered", stats["index_filtered"])
             return loaded
 
-    def _load_any_impl(self, cache: IndicatorCache, fingerprint: Dict,
-                       strict: bool, keys: Optional[Iterable],
-                       read_mode: str) -> int:
-        if keys is None:
-            return self._load_cache_impl(cache, fingerprint, strict)
-        requested = list(dict.fromkeys(keys))  # dedupe, keep order
-        if read_mode == "full":
-            return self._load_cache_impl(cache, fingerprint, strict,
-                                         requested=requested)
-        return self._load_selected_impl(cache, fingerprint, strict,
-                                        requested, read_mode)
-
     def _load_cache_impl(self, cache: IndicatorCache, fingerprint: Dict,
-                         strict: bool,
-                         requested: Optional[List] = None) -> int:
+                         strict: bool, keys: Optional[Iterable]) -> int:
+        # Dedupe, keep order.
+        requested = None if keys is None else list(dict.fromkeys(keys))
         self.last_rejection = None
-        stats = {"mode": "full",
-                 "requested": (len(requested) if requested is not None
-                               else None),
+        stats = {"mode": "full" if requested is None else "index",
+                 "requested": None if requested is None else len(requested),
                  "found": 0, "index_hits": 0, "index_fallback_shards": 0,
                  "index_filtered": 0, "shards_touched": None}
         self.last_load_stats = stats
         directory = self.cache_dir(fingerprint)
-        legacy_path = self.legacy_cache_path(fingerprint)
-        entries: Dict[Tuple, object] = {}
-        problems: List[str] = []
-        if legacy_path.exists():
-            legacy_entries, problem = self._read_entries(
-                legacy_path, _legacy_fingerprint(fingerprint))
-            if problem is not None:
-                # A concurrent first-save may have migrated the file
-                # away between exists() and the read: that is a healthy
-                # store (the rows are in the format-2 directory read
-                # below), not a poisoned one.
-                if legacy_path.exists():
-                    problems.append(problem)
-            else:
-                entries.update(legacy_entries)
-        if directory.exists():
-            # Under the base lock, *shared*: concurrent warm-starting
-            # readers replay side by side, while the compactor (which
-            # holds it exclusively across fold-and-unlink) cannot swap
-            # the base and delete segments between our base read and
-            # segment glob — the reader half of the "racing a compaction
-            # loses nothing" guarantee.
-            with _file_lock(self._base_path(directory), shared=True):
-                entries.update(self._replay(directory, fingerprint,
-                                            problems))
-        elif not legacy_path.exists():
+        if not directory.exists():
             self.last_rejection = "no persisted cache"
             return 0
-        if requested is not None:
-            entries = {key: entries[key] for key in requested
-                       if key in entries}
-        stats["found"] = len(entries)
-        return self._finish_load(cache, entries, problems, strict)
-
-    def _load_selected_impl(self, cache: IndicatorCache, fingerprint: Dict,
-                            strict: bool, requested: List,
-                            read_mode: str) -> int:
-        """The ``keys=`` fast path: touch only the shards the requested
-        keys hash to (``selective``), or just their index slots
-        (``index``)."""
-        self.last_rejection = None
-        stats = {"mode": read_mode, "requested": len(requested),
-                 "found": 0, "index_hits": 0, "index_fallback_shards": 0,
-                 "index_filtered": 0, "shards_touched": 0}
-        self.last_load_stats = stats
-        directory = self.cache_dir(fingerprint)
-        legacy_path = self.legacy_cache_path(fingerprint)
-        entries: Dict[Tuple, object] = {}
         problems: List[str] = []
-        if legacy_path.exists():
-            legacy_entries, problem = self._read_entries(
-                legacy_path, _legacy_fingerprint(fingerprint))
-            if problem is not None:
-                if legacy_path.exists():  # not a concurrent migration
-                    problems.append(problem)
+        # Under the base lock, *shared*: concurrent warm-starting readers
+        # read side by side, while the compactor (which holds it
+        # exclusively across fold-and-unlink) cannot swap the bases and
+        # delete segments between our base read and segment glob — the
+        # reader half of the "racing a compaction loses nothing"
+        # guarantee.
+        with _file_lock(self._base_lock_target(directory), shared=True):
+            if requested is None:
+                entries = self._replay(directory, fingerprint, problems)
             else:
-                for key in requested:
-                    if key in legacy_entries:
-                        entries[key] = legacy_entries[key]
-        if not directory.exists():
-            if not legacy_path.exists():
-                self.last_rejection = "no persisted cache"
-                return 0
-        else:
-            meta = self._read_meta(directory)
-            if meta is None:
-                # Damaged meta: the key→shard map is unknowable, so
-                # degrade to a full replay filtered to the requested
-                # keys — still correct, just O(store) for this load.
-                stats["shards_touched"] = None
-                with _file_lock(self._base_path(directory), shared=True):
-                    replayed = self._replay(directory, fingerprint,
-                                            problems)
-                for key in requested:
-                    if key in replayed:
-                        entries[key] = replayed[key]
-            elif ("fingerprint" in meta
-                    and meta["fingerprint"] != fingerprint):
-                problems.append(
-                    "fingerprint mismatch: persisted cache was written "
-                    "under a different proxy/macro configuration or "
-                    "store format"
-                )
-            else:
-                n_shards = int(meta.get("shards", self.shards))
-                by_shard: Dict[int, List[Tuple]] = {}
-                for key in requested:
-                    encoded = _encode_key(key)
-                    by_shard.setdefault(_shard_of(encoded, n_shards),
-                                        []).append((key, encoded))
-                stats["shards_touched"] = len(by_shard)
-                with _file_lock(self._base_path(directory), shared=True):
-                    # The monolithic base.json (pre-index layout) is
-                    # outside every shard's coverage: merge it first
-                    # whenever present — shard files replay after it,
-                    # so their rows win, preserving last-write-wins.
-                    base_path = self._base_path(directory)
-                    if base_path.exists():
-                        base_entries, problem = self._read_entries(
-                            base_path, fingerprint)
-                        if problem is not None:
-                            problems.append(problem)
-                        else:
-                            for key in requested:
-                                if key in base_entries:
-                                    entries[key] = base_entries[key]
-                    for shard in sorted(by_shard):
-                        entries.update(self._load_shard_keys(
-                            directory, shard, by_shard[shard],
-                            read_mode, stats))
+                entries = self._lookup_keys(directory, fingerprint,
+                                            requested, problems, stats)
         stats["found"] = len(entries)
         return self._finish_load(cache, entries, problems, strict)
 
-    def _load_shard_keys(self, directory: Path, shard: int,
-                         pairs: List[Tuple], read_mode: str,
-                         stats: Dict) -> Dict[Tuple, object]:
-        """Rows for the requested ``(key, encoded)`` pairs of one shard
-        (call under the shared base lock).  ``index`` mode consults the
-        sidecar first; a stale/missing/lying index falls back to
-        replaying the whole shard, so the result never depends on index
-        health."""
-        if read_mode == "index":
+    def _lookup_keys(self, directory: Path, fingerprint: Dict,
+                     requested: List, problems: List[str],
+                     stats: Dict) -> Dict[Tuple, object]:
+        """The ``keys=`` path (call under the shared base lock): index
+        point lookups per shard the keys hash to; a shard whose index
+        cannot be trusted replays instead, so the result never depends
+        on index health."""
+        meta = self._read_meta(directory)
+        if meta is None or meta.get("fingerprint",
+                                    fingerprint) != fingerprint:
+            # Absent or damaged meta leaves the key→shard map unknowable,
+            # and a mismatch loads nothing: replay handles (and reports)
+            # both.
+            replayed = self._replay(directory, fingerprint, problems)
+            return {key: replayed[key] for key in requested
+                    if key in replayed}
+        n_shards = int(meta.get("shards", self.shards))
+        by_shard: Dict[int, List[Tuple]] = {}
+        for key in requested:
+            encoded = _encode_key(key)
+            by_shard.setdefault(_shard_of(encoded, n_shards),
+                                []).append((key, encoded))
+        stats["shards_touched"] = len(by_shard)
+        entries: Dict[Tuple, object] = {}
+        for shard, pairs in sorted(by_shard.items()):
             rows = self._index_lookup(directory, shard, pairs, stats)
-            if rows is not None:
-                return rows
-            stats["index_fallback_shards"] += 1
-        replayed = self._replay_shard(directory, shard)
-        return {key: replayed[key] for key, _ in pairs if key in replayed}
+            if rows is None:
+                stats["index_fallback_shards"] += 1
+                replayed = self._replay_files(directory, shard=shard)
+                rows = {key: replayed[key] for key, _ in pairs
+                        if key in replayed}
+            entries.update(rows)
+        return entries
 
     def _index_lookup(self, directory: Path, shard: int,
                       pairs: List[Tuple],
@@ -1182,65 +994,47 @@ class RuntimeStore:
 
     def _replay(self, directory: Path, fingerprint: Dict,
                 problems: List[str]) -> Dict[Tuple, object]:
-        """Bases + segments, later writes winning; unreadable parts are
-        reported into ``problems`` and skipped (readable rows still
-        load).  Replay order: monolithic ``base.json`` (oldest — the
-        pre-index layout), per-shard ``.base.jsonl`` files, then
-        segments.  Callers racing a compactor must hold the base lock
-        (``load_cache_into`` does; ``_compact_dir`` already holds it), or
-        the base-swap-then-unlink sequence could hide segment-only rows
-        from them."""
+        """Every shard's base + segments, later writes winning.  A
+        ``meta.json`` recording another fingerprint loads nothing; an
+        unreadable one is reported into ``problems`` but the rows still
+        replay (they carry no fingerprint of their own, so the meta is
+        the only guard).  Callers racing a compactor must hold the base
+        lock (``load_cache_into`` does; ``_compact_dir`` already holds
+        it), or the base-swap-then-unlink sequence could hide
+        segment-only rows from them."""
         meta = self._read_meta(directory)
-        if (isinstance(meta, dict) and "fingerprint" in meta
-                and meta["fingerprint"] != fingerprint):
+        if meta is None:
+            if self._meta_path(directory).exists():
+                problems.append(f"unreadable store meta: "
+                                f"{self._meta_path(directory)}")
+        elif meta.get("fingerprint", fingerprint) != fingerprint:
             problems.append(
                 "fingerprint mismatch: persisted cache was written under a "
                 "different proxy/macro configuration or store format"
             )
             return {}
-        entries: Dict[Tuple, object] = {}
-        base_path = self._base_path(directory)
-        if base_path.exists():
-            base_entries, problem = self._read_entries(base_path,
-                                                       fingerprint)
-            if problem is not None:
-                problems.append(problem)
-            else:
-                entries.update(base_entries)
-        for path in self._shard_base_files(directory):
-            self._read_jsonl_rows(path, entries)
-        for segment in self._segment_files(directory):
-            self._read_jsonl_rows(segment, entries)
-        return entries
+        return self._replay_files(directory)
 
-    def _replay_shard(self, directory: Path,
-                      shard: int) -> Dict[Tuple, object]:
-        """One shard's base + segments, later writes winning (call under
-        the shared base lock).  The monolithic ``base.json`` is *not*
-        included — selective callers merge it separately, before shard
-        rows."""
+    def _replay_files(self, directory: Path,
+                      shard: Optional[int] = None) -> Dict[Tuple, object]:
+        """Rows of every shard (or just ``shard``), replayed in order
+        with no meta checks."""
         entries: Dict[Tuple, object] = {}
-        for path in self._shard_base_files(directory, shard=shard):
+        for path in self._shard_files(directory, shard=shard):
             self._read_jsonl_rows(path, entries)
-        for segment in self._segment_files(directory, shard=shard):
-            self._read_jsonl_rows(segment, entries)
         return entries
 
     # ------------------------------------------------------------------
     # Indicator cache — compaction and maintenance
     # ------------------------------------------------------------------
     def compact_cache(self, fingerprint: Dict) -> Dict:
-        """Fold this fingerprint's segments (and any monolithic
-        ``base.json``) into per-shard ``.base.jsonl`` files with freshly
-        rebuilt ``.idx.json`` sidecars; returns ``{"segments_folded",
-        "entries", "migrated"}``.  Idempotent: with no segments pending
-        the bases are rewritten unchanged.  Also migrates a lingering
-        format-1 file and sweeps stale staging files."""
+        """Fold this fingerprint's segments into per-shard
+        ``.base.jsonl`` files with freshly rebuilt ``.idx.json``
+        sidecars; returns ``{"segments_folded", "entries"}``.
+        Idempotent: with no segments pending the bases are rewritten
+        unchanged.  Also sweeps stale staging files."""
         directory, _ = self._ensure_dir(fingerprint)
-        migrated = self._migrate_legacy(directory, fingerprint)
-        stats = self._compact_dir(directory, fingerprint)
-        stats["migrated"] = migrated
-        return stats
+        return self._compact_dir(directory, fingerprint)
 
     def _compact_dir(self, directory: Path, fingerprint: Dict) -> Dict:
         """Segments → per-shard bases under the base lock plus *every*
@@ -1253,8 +1047,7 @@ class RuntimeStore:
         filenames, so a damaged/missing meta can never leave a live
         appender's shard unlocked while its segments are swept.  Each
         surviving shard gets its index rebuilt atomically alongside its
-        base; the monolithic ``base.json`` (pre-index layout) is folded
-        in and removed."""
+        base."""
         tel = self.telemetry
         with tel.span("compaction", CAT_STORE) as span:
             meta = self._read_meta(directory)
@@ -1266,7 +1059,8 @@ class RuntimeStore:
                 if match is not None:
                     n_shards = max(n_shards, int(match.group("shard")) + 1)
             with contextlib.ExitStack() as stack:
-                stack.enter_context(_file_lock(self._base_path(directory)))
+                stack.enter_context(
+                    _file_lock(self._base_lock_target(directory)))
                 for shard in range(n_shards):
                     stack.enter_context(
                         _file_lock(self._shard_lock_target(directory, shard))
@@ -1291,8 +1085,6 @@ class RuntimeStore:
                 for segment in segments:
                     with contextlib.suppress(OSError):
                         segment.unlink()
-                with contextlib.suppress(OSError):
-                    self._base_path(directory).unlink()
             self._sweep_sidecars(directory)
             span.note(segments_folded=len(segments), entries=len(entries))
             tel.count("store.compactions")
@@ -1351,39 +1143,16 @@ class RuntimeStore:
                            json.dumps(header) + "\n" + "".join(body))
 
     def compact_all(self) -> List[Dict]:
-        """Compact every indicator cache in the store; returns one stats
-        dict per cache.  Format-1 monoliths are migrated first (each
-        embeds the fingerprint it was written under, which maps it to
-        its format-2 directory), then every format-2 directory — keyed
-        by its ``meta.json`` fingerprint — has its segments folded."""
+        """Compact every indicator cache in the store — each cache
+        directory keyed by its ``meta.json`` fingerprint; returns one
+        stats dict per cache."""
         results = []
-        done = set()
-        for path in sorted(self.root.glob("indicator_cache__*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (ValueError, OSError):
-                continue
-            legacy = (payload.get("fingerprint")
-                      if isinstance(payload, dict) else None)
-            if not isinstance(legacy, dict) or legacy.get("format") != 1:
-                continue
-            fingerprint = dict(legacy, format=STORE_FORMAT)
-            if self.legacy_cache_path(fingerprint) != path:
-                continue  # hand-copied under a foreign digest: leave it
-            stats = self.compact_cache(fingerprint)
-            directory = self.cache_dir(fingerprint)
-            stats["digest"] = directory.name.split("__", 1)[1]
-            results.append(stats)
-            done.add(directory.name)
         for directory in sorted(self.root.glob("cache2__*")):
-            if directory.name in done:
-                continue
             meta = self._read_meta(directory)
             if not isinstance(meta, dict) or "fingerprint" not in meta:
                 continue
             stats = self._compact_dir(directory, meta["fingerprint"])
             stats["digest"] = directory.name.split("__", 1)[1]
-            stats["migrated"] = 0
             results.append(stats)
         return results
 
@@ -1494,17 +1263,14 @@ class RuntimeStore:
         return entries
 
     def cache_inventory(self) -> List[Dict]:
-        """One summary dict per persisted indicator cache (format-2
-        directories and any not-yet-migrated format-1 files)."""
+        """One summary dict per persisted indicator cache directory."""
         inventory = []
         for directory in sorted(self.root.glob("cache2__*")):
             meta = self._read_meta(directory) or {}  # damaged: still listed
             fingerprint = meta.get("fingerprint")
             if not isinstance(fingerprint, dict):
                 fingerprint = None
-            base = (self._read_base(directory, fingerprint)
-                    if fingerprint else None)
-            base_rows: Dict[Tuple, object] = dict(base or {})
+            base_rows: Dict[Tuple, object] = {}
             for path in self._shard_base_files(directory):
                 self._read_jsonl_rows(path, base_rows)
             segments = self._segment_files(directory)
@@ -1530,31 +1296,6 @@ class RuntimeStore:
                 "base_rows": len(base_rows),
                 "segments": len(segments),
                 "quarantined": quarantined,
-                "bytes": size,
-            })
-        for path in sorted(self.root.glob("indicator_cache__*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (ValueError, OSError):
-                payload = {}
-            if not isinstance(payload, dict):  # damaged: still listed
-                payload = {}
-            fingerprint = payload.get("fingerprint")
-            if not isinstance(fingerprint, dict):
-                fingerprint = {}
-            entries = payload.get("entries")
-            size = 0
-            with contextlib.suppress(OSError):  # migrated away mid-listing
-                size = path.stat().st_size
-            inventory.append({
-                "digest": path.stem.split("__", 1)[1],
-                "format": fingerprint.get("format", 1),
-                "precision": fingerprint.get("precision"),
-                "shards": None,
-                "base_rows": len(entries) if isinstance(entries, list)
-                             else 0,
-                "segments": 0,
-                "quarantined": 0,
                 "bytes": size,
             })
         return inventory
@@ -1647,5 +1388,4 @@ __all__ = [
     "STORE_FORMAT",
     "DEFAULT_SHARDS",
     "DEFAULT_AUTO_COMPACT_SEGMENTS",
-    "READ_MODES",
 ]

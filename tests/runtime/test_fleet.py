@@ -510,7 +510,7 @@ class TestHarnessIntegration:
         assert fleet.pool["mode"] == "fleet"
         assert fleet.arch_index == serial.arch_index
         assert fleet.indicators == serial.indicators
-        assert fleet.store["read_mode"] == "index"  # satellite: auto
+        assert fleet.store["read_mode"] == "index"  # async: index reads
         # A rerun warm-starts entirely from what the workers flushed.
         warm = RunHarness(fleet_config).run()
         assert warm.arch_index == serial.arch_index
@@ -535,7 +535,6 @@ class TestCli:
         assert args.fleet_workers == 3
         assert args.fleet_lease_seconds == 20.0
         assert args.fleet_token == "t"
-        assert args.store_read_mode == "auto"
 
     def test_fleet_worker_subcommand(self):
         from repro.cli import build_parser
@@ -545,4 +544,3 @@ class TestCli:
              "--store", "/tmp/s", "--max-chunks", "2"])
         assert args.fn.__name__ == "cmd_fleet_worker"
         assert args.connect == "localhost:7707"
-        assert args.read_mode == "index"

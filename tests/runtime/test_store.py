@@ -115,15 +115,23 @@ class TestIndicatorCachePersistence:
         assert full != reduced
 
     def test_corrupt_file_rejected(self, store):
+        # A torn meta.json leaves the rows unguarded by any fingerprint:
+        # lenient loads still replay them but say why, strict loads
+        # refuse — through both read paths.
         fingerprint = cache_fingerprint_default()
-        directory = store.cache_dir(fingerprint)
-        directory.mkdir(parents=True)
-        (directory / "base.json").write_text("{not json", encoding="utf-8")
-        assert store.load_cache_into(IndicatorCache(), fingerprint) == 0
-        assert "unreadable" in store.last_rejection
-        with pytest.raises(StoreError):
-            store.load_cache_into(IndicatorCache(), fingerprint,
-                                  strict=True)
+        cache = IndicatorCache()
+        key = ("flops", 1, (4,))
+        cache.put(key, 1.0)
+        store.save_cache(cache, fingerprint)
+        (store.cache_dir(fingerprint) / "meta.json").write_text(
+            "{not json", encoding="utf-8")
+        for keys in (None, [key]):
+            assert store.load_cache_into(IndicatorCache(), fingerprint,
+                                         keys=keys) == 1
+            assert "unreadable store meta" in store.last_rejection
+            with pytest.raises(StoreError):
+                store.load_cache_into(IndicatorCache(), fingerprint,
+                                      strict=True, keys=keys)
 
     def test_in_memory_entries_win_over_persisted(self, store):
         fingerprint = cache_fingerprint_default()
@@ -177,16 +185,16 @@ class TestConcurrentWriters:
         fingerprint = cache_fingerprint_default()
         directory = store.cache_dir(fingerprint)
         directory.mkdir(parents=True)
-        (directory / "base.json").write_text("{torn", encoding="utf-8")
+        (directory / "shard-00.base.jsonl").write_text(
+            "{torn", encoding="utf-8")
         cache = IndicatorCache()
         cache.put(("flops", 7, (4,)), 7.0)
         assert store.save_cache(cache, fingerprint) == 1
         restored = IndicatorCache()
         assert store.load_cache_into(restored, fingerprint) == 1
         assert restored.get(("flops", 7, (4,))) == 7.0
-        # Compaction discards the unreadable base and rebuilds it from
-        # the surviving segments (the format-1 rebuild-from-memory
-        # behaviour, now at the compaction layer).
+        # Compaction drops the unreadable base lines and rebuilds the
+        # bases from the surviving rows.
         store.compact_cache(fingerprint)
         fresh = IndicatorCache()
         assert store.load_cache_into(fresh, fingerprint, strict=True) == 1

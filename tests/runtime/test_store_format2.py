@@ -1,10 +1,10 @@
-"""Store format 2: append-only shards, compaction, migration, LUT keys.
+"""Store format 2: append-only shards, compaction, gc, LUT keys.
 
 The properties this file pins are the acceptance criteria of the sharded
-store: saves append only the dirty delta, format-1 monoliths still load
-and migrate on first save, compaction is idempotent and preserves
-last-write-wins, concurrent appenders to one shard drop no rows, and
-slug-colliding device names no longer clobber each other's LUTs.
+store: saves append only the dirty delta, compaction is idempotent and
+preserves last-write-wins, concurrent appenders to one shard drop no
+rows, files of retired layouts are ignored, and slug-colliding device
+names no longer clobber each other's LUTs.
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.runtime.store import (
     StoreError,
     cache_fingerprint,
     _encode_key,
-    _legacy_fingerprint,
 )
 from repro.searchspace.network import MacroConfig
 
@@ -41,18 +40,6 @@ def fingerprint():
 
 def key(i):
     return ("ntk", i, 1, ())
-
-
-def write_format1_file(store, fingerprint, entries):
-    """What the pre-sharding store wrote: one monolithic JSON file keyed
-    by the format-1 fingerprint digest."""
-    payload = {
-        "fingerprint": _legacy_fingerprint(fingerprint),
-        "entries": [[_encode_key(k), v] for k, v in entries.items()],
-    }
-    store.legacy_cache_path(fingerprint).write_text(
-        json.dumps(payload) + "\n", encoding="utf-8"
-    )
 
 
 def segment_files(store, fingerprint):
@@ -96,71 +83,26 @@ class TestDirtyDelta:
         assert store.load_cache_into(restored, fingerprint) == 1
 
 
-class TestFormat1Compat:
-    """Old monolithic files load, and the first save migrates them."""
-
-    def test_format1_file_loads(self, store, fingerprint):
-        write_format1_file(store, fingerprint, {key(1): 1.0, key(2): 2.0})
+class TestRetiredLayouts:
+    def test_pre_index_and_format1_files_are_ignored(self, store,
+                                                     fingerprint):
+        # Neither a monolithic base.json nor a format-1 file is read:
+        # their rows are simply recomputed (bit-identically).
         cache = IndicatorCache()
-        assert store.load_cache_into(cache, fingerprint, strict=True) == 2
-        assert cache.get(key(1)) == 1.0
-
-    def test_first_save_migrates_and_removes_legacy(self, store,
-                                                    fingerprint):
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        cache = IndicatorCache()
-        cache.put(key(2), 2.0)
+        cache.put(key(1), 1.0)
         store.save_cache(cache, fingerprint)
-        assert not store.legacy_cache_path(fingerprint).exists()
-        restored = IndicatorCache()
-        assert store.load_cache_into(restored, fingerprint, strict=True) == 2
-        assert restored.get(key(1)) == 1.0
-        assert restored.get(key(2)) == 2.0
-
-    def test_format2_rows_beat_migrated_legacy_rows(self, store,
-                                                    fingerprint):
-        # A row re-computed since the legacy file was written is newer:
-        # the format-2 value must win both before and after migration.
-        cache = IndicatorCache()
-        cache.put(key(1), 99.0)
-        store.save_cache(cache, fingerprint)
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        peek = IndicatorCache()
-        store.load_cache_into(peek, fingerprint)
-        assert peek.get(key(1)) == 99.0  # read-side: legacy is oldest
-        store.compact_cache(fingerprint)  # migrates + folds
-        assert not store.legacy_cache_path(fingerprint).exists()
-        restored = IndicatorCache()
-        store.load_cache_into(restored, fingerprint, strict=True)
-        assert restored.get(key(1)) == 99.0
-
-    def test_compact_all_migrates_legacy_files(self, store, fingerprint):
-        # `micronas store compact` must migrate monoliths even when no
-        # run has saved under their fingerprint yet.
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        results = store.compact_all()
-        assert len(results) == 1
-        assert results[0]["migrated"] == 1
-        assert not store.legacy_cache_path(fingerprint).exists()
-        restored = IndicatorCache()
-        assert store.load_cache_into(restored, fingerprint, strict=True) == 1
-        # Second pass: already-migrated stores report nothing to migrate
-        # and each directory appears once.
-        results = store.compact_all()
-        assert len(results) == 1
-        assert results[0]["migrated"] == 0
-
-    def test_mismatched_legacy_file_rejected(self, store, fingerprint):
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        legacy = store.legacy_cache_path(fingerprint)
-        payload = json.loads(legacy.read_text(encoding="utf-8"))
-        payload["fingerprint"]["precision"] = "float16"
-        legacy.write_text(json.dumps(payload), encoding="utf-8")
-        cache = IndicatorCache()
-        assert store.load_cache_into(cache, fingerprint) == 0
-        assert "fingerprint mismatch" in store.last_rejection
-        with pytest.raises(StoreError):
-            store.load_cache_into(cache, fingerprint, strict=True)
+        payload = json.dumps({"fingerprint": dict(fingerprint, format=1),
+                              "entries": [[_encode_key(key(2)), 2.0]]})
+        (store.cache_dir(fingerprint) / "base.json").write_text(
+            payload, encoding="utf-8")
+        (store.root / "indicator_cache__0123456789ab.json").write_text(
+            payload, encoding="utf-8")
+        for keys in (None, [key(1), key(2)]):
+            restored = IndicatorCache()
+            assert store.load_cache_into(restored, fingerprint,
+                                         strict=True, keys=keys) == 1
+            assert dict(restored.items()) == {key(1): 1.0}
+        assert len(store.cache_inventory()) == 1
 
 
 class TestCompaction:
@@ -200,25 +142,6 @@ class TestCompaction:
         stats = store.compact_cache(fingerprint)
         assert stats["segments_folded"] == 0
         assert layout() == first
-
-    def test_compaction_folds_monolithic_base_away(self, store,
-                                                   fingerprint):
-        # A pre-index directory (monolithic base.json) compacts into
-        # per-shard bases + indexes; the monolith does not linger.
-        write_format1_file(store, fingerprint, {key(1): 1.0})
-        cache = IndicatorCache()
-        cache.put(key(2), 2.0)
-        store.save_cache(cache, fingerprint)  # migration writes base.json
-        directory = store.cache_dir(fingerprint)
-        assert (directory / "base.json").exists()
-        store.compact_cache(fingerprint)
-        assert not (directory / "base.json").exists()
-        assert list(directory.glob("shard-*.base.jsonl"))
-        assert list(directory.glob("shard-*.idx.json"))
-        restored = IndicatorCache()
-        assert store.load_cache_into(restored, fingerprint, strict=True) == 2
-        assert restored.get(key(1)) == 1.0
-        assert restored.get(key(2)) == 2.0
 
     def test_auto_compaction_past_segment_threshold(self, tmp_path,
                                                     fingerprint):
@@ -443,7 +366,7 @@ class TestGarbageCollection:
         cache.put(key(1), 1.0)
         store.save_cache(cache, fingerprint)
         orphan = (store.cache_dir(fingerprint)
-                  / f"base.json.{dead_pid()}.tmp")
+                  / f"shard-00.base.jsonl.{dead_pid()}.tmp")
         orphan.write_text("", encoding="utf-8")
         old = time.time() - 7200
         os.utime(orphan, (old, old))
@@ -458,7 +381,7 @@ class TestGarbageCollection:
         cache.put(key(1), 1.0)
         store.save_cache(cache, fingerprint)
         orphan = (store.cache_dir(fingerprint)
-                  / f"base.json.{dead_pid()}.tmp")
+                  / f"shard-00.base.jsonl.{dead_pid()}.tmp")
         orphan.write_text("", encoding="utf-8")
         old = time.time() - 7200
         os.utime(orphan, (old, old))
@@ -467,20 +390,29 @@ class TestGarbageCollection:
 
 
 class TestInventory:
-    def test_inventory_reports_both_formats(self, store, fingerprint):
+    def test_inventory_reports_cache_directories(self, store,
+                                                 fingerprint):
         cache = IndicatorCache()
         cache.put(key(1), 1.0)
         store.save_cache(cache, fingerprint)
-        stale = cache_fingerprint(ProxyConfig(seed=5), MacroConfig.full())
-        write_format1_file(store, stale, {key(9): 9.0})
-        inventory = store.cache_inventory()
-        formats = sorted(entry["format"] for entry in inventory)
-        assert formats == [1, 2]
-        modern = next(e for e in inventory if e["format"] == 2)
-        assert modern["segments"] == 1
-        assert modern["shards"] == store.shards
-        legacy = next(e for e in inventory if e["format"] == 1)
-        assert legacy["base_rows"] == 1
+        other = cache_fingerprint(ProxyConfig(seed=5), MacroConfig.full())
+        other_cache = IndicatorCache()
+        other_cache.put(key(9), 9.0)
+        store.save_cache(other_cache, other)
+        store.compact_cache(other)
+        inventory = {entry["digest"]: entry
+                     for entry in store.cache_inventory()}
+        assert len(inventory) == 2
+
+        def digest(fp):
+            return store.cache_dir(fp).name.split("__", 1)[1]
+
+        pending = inventory[digest(fingerprint)]
+        assert pending["format"] == 2
+        assert pending["segments"] == 1 and pending["base_rows"] == 0
+        assert pending["shards"] == store.shards
+        compacted = inventory[digest(other)]
+        assert compacted["segments"] == 0 and compacted["base_rows"] == 1
 
     def test_unreadable_meta_refuses_saves_instead_of_resharding(
             self, store, fingerprint):
@@ -495,23 +427,27 @@ class TestInventory:
         cache.put(key(2), 2.0)
         with pytest.raises(StoreError, match="unreadable store meta"):
             store.save_cache(cache, fingerprint)
-        # Reads stay available (the meta fingerprint check is skipped,
-        # base/segment fingerprints still guard).
+        # Lenient reads stay available but report the damaged meta (no
+        # fingerprint guards the rows any more); strict reads refuse.
         restored = IndicatorCache()
         assert store.load_cache_into(restored, fingerprint) == 1
+        assert "unreadable store meta" in store.last_rejection
+        with pytest.raises(StoreError):
+            store.load_cache_into(IndicatorCache(), fingerprint,
+                                  strict=True)
 
     def test_inventory_tolerates_damaged_payloads(self, store,
                                                   fingerprint):
-        # A legacy-named file with valid-but-wrong-shape JSON, and a
-        # cache dir with a junk meta: the diagnostic listing a user
-        # reaches for on a damaged store must not traceback.
-        (store.root / "indicator_cache__deadbeef.json").write_text(
-            '[1, 2]', encoding="utf-8")
-        (store.root / "indicator_cache__cafecafe.json").write_text(
-            '{"fingerprint": 3, "entries": 7}', encoding="utf-8")
+        # Cache dirs with a junk meta and with a torn shard base: the
+        # diagnostic listing a user reaches for on a damaged store must
+        # not traceback.
         broken_dir = store.root / "cache2__baadf00d"
         broken_dir.mkdir()
         (broken_dir / "meta.json").write_text('"junk"', encoding="utf-8")
+        torn_dir = store.root / "cache2__cafecafe"
+        torn_dir.mkdir()
+        (torn_dir / "shard-00.base.jsonl").write_text(
+            '[1, 2, 3]\n["torn', encoding="utf-8")
         inventory = store.cache_inventory()
-        assert len(inventory) == 3
+        assert len(inventory) == 2
         assert all(entry["base_rows"] == 0 for entry in inventory)

@@ -1,9 +1,10 @@
-"""Shard-selective loads and the per-shard key index sidecar.
+"""Keyed loads through the per-shard key index sidecar.
 
-This file pins the read-side acceptance criteria of the million-row
-store tier: ``selective``/``index`` loads are **bit-identical** to full
-replay under fuzzed write orders, torn tails and damaged sidecars (the
-index is an accelerator, never an authority over row data); flushes
+This file pins the read-side acceptance criteria of the store's two
+read paths: ``keys=`` index loads are **bit-identical** to a whole-store
+replay filtered to the same keys, under fuzzed write orders, torn tails
+and damaged sidecars (the index is an accelerator, never an authority
+over row data); flushes
 extend the index by pure append (the structural O(delta) property);
 stale indexes fall back to shard replay and heal at the next
 compaction; and the whole path stays correct when a reader races a
@@ -21,7 +22,6 @@ from repro.engine.cache import IndicatorCache
 from repro.proxies.base import ProxyConfig
 from repro.runtime.store import (
     RuntimeStore,
-    StoreError,
     cache_fingerprint,
     _encode_key,
     _shard_of,
@@ -53,46 +53,38 @@ def fill(store, fingerprint, start, count):
     store.save_cache(cache, fingerprint)
 
 
-def load(store, fingerprint, keys, mode, strict=True):
+def load(store, fingerprint, keys, strict=True):
+    """Index-read ``keys``, checked against a whole-store replay
+    filtered to them; ``last_load_stats`` describes the index read."""
+    replay = IndicatorCache()
+    store.load_cache_into(replay, fingerprint, strict=strict)
+    wanted = set(keys)
+    replayed = {k: v for k, v in replay.items() if k in wanted}
     target = IndicatorCache()
     loaded = store.load_cache_into(target, fingerprint, keys=keys,
-                                   read_mode=mode, strict=strict)
-    return loaded, dict(target.items())
+                                   strict=strict)
+    rows = dict(target.items())
+    assert rows == replayed
+    return loaded, rows
 
 
 class TestReadModeBasics:
-    def test_unknown_read_mode_raises(self, store, fingerprint):
-        with pytest.raises(StoreError):
-            store.load_cache_into(IndicatorCache(), fingerprint,
-                                  keys=[key(1)], read_mode="psychic")
-
-    def test_selective_touches_only_hashed_shards(self, store, fingerprint):
-        fill(store, fingerprint, 0, 100)
-        store.compact_cache(fingerprint)
-        population = [key(i) for i in (3, 17, 42)]
-        loaded, rows = load(store, fingerprint, population, "selective")
-        assert loaded == 3
-        assert rows == {key(i): float(i) * 1.5 for i in (3, 17, 42)}
-        stats = store.last_load_stats
-        assert stats["mode"] == "selective"
-        assert 1 <= stats["shards_touched"] <= 3
-
     def test_index_serves_every_hit_without_fallback(self, store,
                                                      fingerprint):
         fill(store, fingerprint, 0, 100)
         store.compact_cache(fingerprint)
         population = [key(i) for i in range(0, 100, 9)]
-        loaded, rows = load(store, fingerprint, population, "index")
+        loaded, rows = load(store, fingerprint, population)
         assert loaded == len(population)
         stats = store.last_load_stats
+        assert stats["mode"] == "index"
         assert stats["index_hits"] == len(population)
         assert stats["index_fallback_shards"] == 0
 
     def test_fresh_index_miss_is_authoritative(self, store, fingerprint):
         fill(store, fingerprint, 0, 20)
         store.compact_cache(fingerprint)
-        loaded, rows = load(store, fingerprint,
-                            [key(5), key(999)], "index")
+        loaded, rows = load(store, fingerprint, [key(5), key(999)])
         assert loaded == 1
         assert rows == {key(5): 7.5}
         # The absent key was answered by the index, not by a replay.
@@ -101,21 +93,18 @@ class TestReadModeBasics:
     def test_selected_rows_are_marked_clean(self, store, fingerprint):
         fill(store, fingerprint, 0, 10)
         reader = IndicatorCache()
-        store.load_cache_into(reader, fingerprint, keys=[key(3), key(4)],
-                              read_mode="index")
+        store.load_cache_into(reader, fingerprint, keys=[key(3), key(4)])
         assert store.save_cache(reader, fingerprint) == 0
 
     def test_in_memory_value_wins_over_store(self, store, fingerprint):
         fill(store, fingerprint, 0, 10)
         reader = IndicatorCache()
         reader.put(key(3), -1.0)
-        store.load_cache_into(reader, fingerprint, keys=[key(3)],
-                              read_mode="index")
+        store.load_cache_into(reader, fingerprint, keys=[key(3)])
         assert dict(reader.items())[key(3)] == -1.0
 
     def test_cold_store_selected_load(self, store, fingerprint):
-        loaded, rows = load(store, fingerprint, [key(1)], "index",
-                            strict=False)
+        loaded, rows = load(store, fingerprint, [key(1)], strict=False)
         assert loaded == 0 and rows == {}
         assert store.last_rejection == "no persisted cache"
 
@@ -144,7 +133,7 @@ class TestIndexMaintenance:
                                                     fingerprint):
         fill(store, fingerprint, 0, 30)
         population = [key(i) for i in range(0, 30, 7)]
-        loaded, rows = load(store, fingerprint, population, "index")
+        loaded, rows = load(store, fingerprint, population)
         assert loaded == len(population)
         assert store.last_load_stats["index_hits"] == len(population)
         assert store.last_load_stats["index_fallback_shards"] == 0
@@ -163,16 +152,16 @@ class TestIndexMaintenance:
         rogue.write_text(
             json.dumps([_encode_key(target), 777.0]) + "\n",
             encoding="utf-8")
-        loaded, rows = load(store, fingerprint, [target], "index")
+        loaded, rows = load(store, fingerprint, [target])
         assert loaded == 1 and rows == {target: 777.0}
         assert store.last_load_stats["index_fallback_shards"] == 1
         # A further flush must not "patch" the stale index into lying…
         fill(store, fingerprint, 100, 5)
-        loaded, rows = load(store, fingerprint, [target], "index")
+        loaded, rows = load(store, fingerprint, [target])
         assert rows == {target: 777.0}
         # …but compaction rebuilds it to full coverage.
         store.compact_cache(fingerprint)
-        loaded, rows = load(store, fingerprint, [target], "index")
+        loaded, rows = load(store, fingerprint, [target])
         assert rows == {target: 777.0}
         assert store.last_load_stats["index_fallback_shards"] == 0
         assert store.last_load_stats["index_hits"] == 1
@@ -180,7 +169,7 @@ class TestIndexMaintenance:
 
 class TestReadPathEquivalence:
     """The property battery: whatever mess the write history left,
-    every read mode returns exactly what full replay returns."""
+    index reads return exactly what full replay returns."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_read_paths_bit_identical_under_fuzz(self, tmp_path,
@@ -219,20 +208,16 @@ class TestReadPathEquivalence:
                             handle.write('{"garbage')
         population = [key(i) for i in rng.sample(range(60), 20)]
         want = {k: expected[k] for k in population if k in expected}
-        results = {}
-        for mode in ("full", "selective", "index"):
-            loaded, rows = load(store, fingerprint, population, mode)
-            assert loaded == len(want), (mode, seed)
-            results[mode] = rows
-        assert results["full"] == results["selective"] \
-            == results["index"] == want, seed
+        loaded, rows = load(store, fingerprint, population)
+        assert loaded == len(want), seed
+        assert rows == want, seed
 
 
 class TestConcurrentReaders:
-    def test_selective_and_index_reads_race_a_compactor(
+    def test_replay_and_index_reads_race_a_compactor(
             self, tmp_path, fingerprint):
         """A churning writer+compactor must never make a concurrent
-        selective/index load miss a row or see a wrong value: appends
+        replay or index load miss a row or see a wrong value: appends
         hold the shard flock, compaction holds base + every shard lock,
         loads replay under the shared base lock, and a mid-churn index
         is either fresh (covers match) or ignored."""
@@ -258,11 +243,9 @@ class TestConcurrentReaders:
         process.start()
         try:
             for _ in range(25):
-                for mode in ("selective", "index"):
-                    loaded, rows = load(store, fingerprint, population,
-                                        mode)
-                    assert loaded == len(population), mode
-                    assert rows == want, mode
+                loaded, rows = load(store, fingerprint, population)
+                assert loaded == len(population)
+                assert rows == want
         finally:
             stop.set()
             process.join(timeout=30)
@@ -272,9 +255,9 @@ class TestConcurrentReaders:
             self, tmp_path, fingerprint):
         """Two processes flushing into the same single shard while a
         third reads through the index: every mid-race read is
-        internally consistent, and after the writers join all three
-        read modes agree on the full row set — no lost rows, no
-        duplicates, no torn values."""
+        internally consistent, and after the writers join both read
+        paths agree on the full row set — no lost rows, no duplicates,
+        no torn values."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("needs fork")
         store = RuntimeStore(tmp_path / "store", shards=1,
@@ -301,17 +284,15 @@ class TestConcurrentReaders:
         while (any(p.is_alive() for p in processes)
                and time.time() < deadline):
             target = IndicatorCache()
-            store.load_cache_into(target, fingerprint, keys=all_keys,
-                                  read_mode="index")
+            store.load_cache_into(target, fingerprint, keys=all_keys)
             for k, v in target.items():
                 assert v == want[k]  # never torn, never misattributed
         for process in processes:
             process.join(timeout=30)
             assert process.exitcode == 0
-        for mode in ("full", "selective", "index"):
-            loaded, rows = load(store, fingerprint, all_keys, mode)
-            assert loaded == len(want), mode
-            assert rows == want, mode
+        loaded, rows = load(store, fingerprint, all_keys)
+        assert loaded == len(want)
+        assert rows == want
 
 
 class TestIndexTailCompaction:
@@ -334,12 +315,10 @@ class TestIndexTailCompaction:
         state = store._read_index_state(directory, 0)
         assert state is not None
         assert state["tail_records"] <= 4
-        # Rows all survive, through every read mode.
-        for mode in ("full", "selective", "index"):
-            loaded, rows = load(store, fingerprint,
-                                [key(i) for i in range(6)], mode)
-            assert loaded == 6, mode
-            assert rows == {key(i): float(i) * 1.5 for i in range(6)}
+        # Rows all survive, through both read paths.
+        loaded, rows = load(store, fingerprint, [key(i) for i in range(6)])
+        assert loaded == 6
+        assert rows == {key(i): float(i) * 1.5 for i in range(6)}
 
     def test_disabled_auto_compaction_disables_tail_trigger(
             self, tmp_path, fingerprint):
@@ -374,7 +353,7 @@ class TestIndexFilters:
         fill(store, fingerprint, 0, 32)
         store.compact_cache(fingerprint)
         missing = [key(i) for i in range(1000, 1050)]
-        loaded, rows = load(store, fingerprint, missing, "index")
+        loaded, rows = load(store, fingerprint, missing)
         assert loaded == 0 and rows == {}
         stats = store.last_load_stats
         # Nearly every miss is answered by fence/bloom (two hash
@@ -388,7 +367,7 @@ class TestIndexFilters:
         fill(store, fingerprint, 0, 32)
         store.compact_cache(fingerprint)
         population = [key(i) for i in range(32)]
-        loaded, rows = load(store, fingerprint, population, "index")
+        loaded, rows = load(store, fingerprint, population)
         assert loaded == 32
         assert store.last_load_stats["index_filtered"] == 0
         assert rows == {key(i): float(i) * 1.5 for i in range(32)}
@@ -401,7 +380,7 @@ class TestIndexFilters:
         store.compact_cache(fingerprint)
         fill(store, fingerprint, 500, 4)  # tail rows, outside the fence
         population = [key(i) for i in (3, 500, 501, 502, 503)]
-        loaded, rows = load(store, fingerprint, population, "index")
+        loaded, rows = load(store, fingerprint, population)
         assert loaded == 5
         assert rows[key(500)] == 750.0
 
@@ -423,7 +402,7 @@ class TestIndexFilters:
             # sidecar (this is a test-only surgery, not an append).
             path.write_text("".join(lines), encoding="utf-8")
         population = [key(i) for i in range(16)] + [key(999)]
-        loaded, rows = load(store, fingerprint, population, "index")
+        loaded, rows = load(store, fingerprint, population)
         assert loaded == 16
         assert rows == {key(i): float(i) * 1.5 for i in range(16)}
         assert store.last_load_stats["index_filtered"] == 0
@@ -438,37 +417,32 @@ class TestIndexFilters:
                              telemetry=telemetry)
         fill(store, fingerprint, 0, 16)
         store.compact_cache(fingerprint)
-        load(store, fingerprint, [key(i) for i in range(900, 910)],
-             "index")
+        load(store, fingerprint, [key(i) for i in range(900, 910)])
         snapshot = telemetry.metrics_snapshot()
         assert snapshot["counters"]["store.index_filtered"] == 10
 
 
 class TestHarnessReadModes:
     def test_harness_warm_starts_through_every_read_mode(self, tmp_path):
+        """A sync run (eager replay) and an async run (index lookups at
+        submit time) warm-start from one store into identical rows."""
         from repro.runtime import RunHarness, RuntimeConfig
 
-        store_dir = str(tmp_path / "store")
-        cold = RunHarness(RuntimeConfig(
-            algorithm="random", samples=6, seed=3, fast=True,
-            store_dir=store_dir)).run()
+        def config(**kwargs):
+            return RuntimeConfig(algorithm="random", samples=6, seed=3,
+                                 fast=True, store_dir=str(tmp_path),
+                                 **kwargs)
+
+        cold = RunHarness(config()).run()
         assert cold.store["cache_saved"] > 0
-        assert cold.store["read_mode"] == "full"
-        for mode in ("selective", "index"):
-            warm = RunHarness(RuntimeConfig(
-                algorithm="random", samples=6, seed=3, fast=True,
-                store_dir=store_dir, store_read_mode=mode)).run()
-            assert warm.store["read_mode"] == mode
+        rows = {}
+        for async_mode, read_mode in ((False, "full"), (True, "index")):
+            harness = RunHarness(config(async_mode=async_mode))
+            warm = harness.run()
+            assert warm.store["read_mode"] == read_mode
             assert warm.cache["misses"] == 0
             assert warm.cache["warm_start_entries"] > 0
             assert warm.arch_str == cold.arch_str
             assert warm.indicators == cold.indicators
-
-    def test_harness_rejects_unknown_read_mode(self):
-        from repro.errors import SearchError
-        from repro.runtime import RunHarness, RuntimeConfig
-
-        with pytest.raises(SearchError):
-            RunHarness(RuntimeConfig(algorithm="random", samples=2,
-                                     fast=True,
-                                     store_read_mode="psychic"))
+            rows[read_mode] = dict(harness.engine.cache.items())
+        assert rows["full"] == rows["index"]
