@@ -3,7 +3,8 @@
 Subcommands
 -----------
 search
-    Run a NAS algorithm (micronas / tenas / random) and print the result.
+    Run a NAS algorithm (micronas / tenas / random) through the run
+    harness and print the result against the surrogate benchmark.
 runtime
     Run any registered algorithm on the parallel evaluation runtime
     (process-pool workers + persistent indicator/LUT store).
@@ -15,7 +16,8 @@ trace
     Summarize a telemetry trace written by ``runtime --trace``: wall
     clock, span coverage, and a per-phase time breakdown.
 pareto
-    Zero-shot quality/latency Pareto front over a sampled population.
+    Zero-shot quality/latency Pareto front over a sampled population
+    (a one-cell ``runtime --device-matrix`` run).
 profile
     Profile a device's latency LUT and print its entries.
 validate-latency
@@ -43,17 +45,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.benchdata import SurrogateBenchmarkAPI
+from repro.errors import ReproError
 from repro.hardware.device import known_devices
 from repro.hardware.latency import LatencyEstimator
-from repro.proxies.base import ProxyConfig
 from repro.proxies.zerocost import PROXY_REGISTRY
-from repro.search import (
-    HybridObjective,
-    MicroNASSearch,
-    ObjectiveWeights,
-    TENASSearch,
-    ZeroShotRandomSearch,
-)
+from repro.runtime import RunHarness, RuntimeConfig
 from repro.searchspace.genotype import Genotype
 from repro.searchspace.network import MacroConfig
 from repro.searchspace.space import NasBench201Space
@@ -65,15 +61,6 @@ def _resolve_arch(text: str) -> Genotype:
     return Genotype.resolve(text)
 
 
-def _proxy_config(args: argparse.Namespace) -> ProxyConfig:
-    precision = getattr(args, "precision", "float64")
-    if args.fast:
-        from repro.eval.benchconfig import reduced_proxy_config
-
-        return reduced_proxy_config(seed=args.seed, precision=precision)
-    return ProxyConfig(seed=args.seed, precision=precision)
-
-
 def _device(name: str):
     devices = known_devices()
     if name not in devices:
@@ -81,52 +68,56 @@ def _device(name: str):
     return devices[name]
 
 
+def _run_harness(config: RuntimeConfig, matrix: bool = False):
+    """Build a harness, run it (or its device matrix); return both.
+
+    Config-level errors (unknown algorithm/device, missing ``--arch`` for
+    macro) are user mistakes, not tracebacks.
+    """
+    try:
+        harness = RunHarness(config)
+        return harness, harness.run_matrix() if matrix else harness.run()
+    except ReproError as exc:
+        raise SystemExit(str(exc))
+
+
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_search(args: argparse.Namespace) -> int:
-    proxy_config = _proxy_config(args)
-    estimator = None
-    if args.algorithm != "tenas" and (args.latency_weight > 0 or args.flops_weight > 0):
-        estimator = LatencyEstimator(_device(args.device), config=MacroConfig.full())
-
-    if args.algorithm == "tenas":
-        result = TENASSearch(proxy_config=proxy_config, seed=args.seed).search()
-    else:
-        objective = HybridObjective(
-            proxy_config=proxy_config,
-            weights=ObjectiveWeights(latency=args.latency_weight,
-                                     flops=args.flops_weight),
-            latency_estimator=estimator,
-        )
-        if args.algorithm == "micronas":
-            result = MicroNASSearch(objective, seed=args.seed).search()
-        else:
-            result = ZeroShotRandomSearch(objective, num_samples=args.samples,
-                                          seed=args.seed).search()
-
-    api = SurrogateBenchmarkAPI(datasets=["cifar10"])
-    record = api.query(result.genotype)
+    """One search through the run harness (``micronas`` is its pruning
+    algorithm), reported against the surrogate benchmark."""
+    harness, report = _run_harness(RuntimeConfig(
+        algorithm="pruning" if args.algorithm == "micronas" else args.algorithm,
+        device=args.device,
+        samples=args.samples,
+        latency_weight=args.latency_weight,
+        flops_weight=args.flops_weight,
+        seed=args.seed,
+        fast=args.fast,
+        precision=args.precision,
+    ))
+    genotype = Genotype.from_index(report.arch_index)
+    record = SurrogateBenchmarkAPI(datasets=["cifar10"]).query(genotype)
     rows = [
-        ["architecture", result.arch_str],
+        ["architecture", report.arch_str],
         ["index", record.index],
         ["surrogate CIFAR-10 acc", f"{record.accuracy('cifar10'):.2f} %"],
         ["FLOPs", f"{record.flops / 1e6:.2f} M"],
         ["params", f"{record.params / 1e6:.3f} M"],
-        ["proxy evaluations", result.num_evaluations],
-        ["search wall time", f"{result.wall_seconds:.1f} s"],
+        ["proxy evaluations", report.num_evaluations],
+        ["search wall time", f"{report.wall_seconds:.1f} s"],
     ]
-    if estimator is not None:
-        rows.insert(5, ["est. latency", f"{estimator.estimate_ms(result.genotype):.1f} ms"])
+    if args.algorithm != "tenas" and (args.latency_weight > 0
+                                      or args.flops_weight > 0):
+        latency = harness.engine.latency_estimator.estimate_ms(genotype)
+        rows.insert(5, ["est. latency", f"{latency:.1f} ms"])
     print(format_table(rows, title=f"{args.algorithm} search result"))
     return 0
 
 
 def cmd_runtime(args: argparse.Namespace) -> int:
     """Run a search on the parallel evaluation runtime (pool + store)."""
-    from repro.errors import ReproError
-    from repro.runtime import RunHarness, RuntimeConfig
-
     config = RuntimeConfig(
         algorithm=args.algorithm,
         n_workers=args.workers,
@@ -160,12 +151,7 @@ def cmd_runtime(args: argparse.Namespace) -> int:
     )
     if config.devices:
         return _run_device_matrix(config, args)
-    try:
-        report = RunHarness(config).run()
-    except ReproError as exc:
-        # Config-level errors (unknown algorithm/device, missing --arch
-        # for macro) are user mistakes, not tracebacks.
-        raise SystemExit(str(exc))
+    _, report = _run_harness(config)
     # Rows are appended in display order (optional rows at their natural
     # position) — no positional insert bookkeeping to keep in sync.
     rows = [
@@ -217,13 +203,7 @@ def cmd_runtime(args: argparse.Namespace) -> int:
 
 def _run_device_matrix(config, args: argparse.Namespace) -> int:
     """Device-matrix mode: one Pareto front per (device, objective-set)."""
-    from repro.errors import ReproError
-    from repro.runtime import RunHarness
-
-    try:
-        report = RunHarness(config).run_matrix()
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    _, report = _run_harness(config, matrix=True)
     evals = report.trainless_evals
     rows = [
         ["run id", report.run_id],
@@ -272,7 +252,6 @@ def _run_device_matrix(config, args: argparse.Namespace) -> int:
 
 def cmd_fleet_worker(args: argparse.Namespace) -> int:
     """Join a fleet as one worker: lease, evaluate, report, repeat."""
-    from repro.errors import ReproError
     from repro.runtime.fleet import run_worker
 
     try:
@@ -447,25 +426,19 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
-    from repro.search.pareto import ParetoZeroShotSearch
-
-    estimator = LatencyEstimator(_device(args.device), config=MacroConfig.full())
-    objective = HybridObjective(
-        proxy_config=_proxy_config(args),
-        weights=ObjectiveWeights(latency=0.5),
-        latency_estimator=estimator,
-    )
-    search = ParetoZeroShotSearch(objective, num_samples=args.samples,
-                                  seed=args.seed)
-    result = search.search()
-    knee = result.knee_point()
+    """The quality/latency front: a one-cell device matrix."""
+    _, report = _run_harness(RuntimeConfig(
+        device=args.device, devices=(args.device,), objectives=("latency",),
+        samples=args.samples, seed=args.seed, fast=args.fast,
+    ), matrix=True)
+    cell = report.cells[0]
     print(format_table(
-        [[("knee -> " if p is knee else "") + p.genotype.to_arch_str()[:44],
-          f"{p.latency_ms:.0f}", f"{p.quality_rank:.1f}"]
-         for p in result.front],
+        [[("knee -> " if row is cell.knee else "") + row["arch_str"][:44],
+          f"{row['latency']:.0f}", f"{row['quality_rank']:.1f}"]
+         for row in cell.front],
         headers=["architecture", "latency ms", "quality rank (low=good)"],
         title=f"quality/latency Pareto front on {args.device} "
-              f"({len(result.front)} of {args.samples} sampled)",
+              f"({len(cell.front)} of {args.samples} sampled)",
     ))
     return 0
 
@@ -611,7 +584,8 @@ def cmd_memplan(args: argparse.Namespace) -> int:
 
 def cmd_proxies(args: argparse.Namespace) -> int:
     genotype = _resolve_arch(args.arch)
-    config = _proxy_config(args)
+    config = RuntimeConfig(seed=args.seed, fast=args.fast,
+                           precision=args.precision).proxy_config()
     rows = []
     for name, spec in PROXY_REGISTRY.items():
         value = spec.fn(genotype, config)
@@ -651,7 +625,6 @@ parallel evaluation runtime examples:
   # rows are precision-keyed, so both policies warm-start side by side
   micronas runtime --algorithm random --samples 256 --precision float32 \\
       --store ~/.cache/micronas
-  micronas search --algorithm micronas --fast --precision float32
 
   # fault-tolerant async run: 30s per-chunk deadline, 3 retries for
   # transient failures; poison candidates are quarantined in the store

@@ -423,9 +423,9 @@ class Engine:
         hit the cache outright.
 
         ``executor`` is the composition seam for the parallel runtime: any
-        object with a ``warm_population(engine, genotypes, with_latency=...)``
-        method (e.g. :class:`repro.runtime.async_pool.
-        AsyncPopulationExecutor`) may pre-compute missing indicator rows —
+        object with a ``warm_population(engine, genotypes)`` method
+        (e.g. :class:`repro.runtime.async_pool.AsyncPopulationExecutor`)
+        may pre-compute missing indicator rows —
         in worker processes, from a persisted store, in any completion
         order — and merge them into :attr:`cache` before the serial pass
         below assembles the table.
@@ -473,7 +473,7 @@ class Engine:
         canons = [canonicalize(g) for g in genotypes]
         hits0, misses0 = self.cache.counters()
         if executor is not None:
-            executor.warm_population(self, canons, with_latency=with_latency)
+            executor.warm_population(self, canons)
         # Whatever κ values are still missing get one stacked eigensolve.
         self._warm_ntk_canonical(canons)
         unique_rows: Dict[int, Dict[str, float]] = {}

@@ -772,14 +772,12 @@ class AsyncPopulationExecutor:
         self.drain_requested = True
 
     def submit_population(self, engine, genotypes: Sequence[Genotype],
-                          with_latency: bool = False,
                           assume_canonical: bool = False) -> int:
         """Submit missing unique-canonical indicator rows; returns the
         number of chunk futures shipped (0 = everything cached or already
         in flight).  Never blocks.  Quarantined candidates are skipped.
-        ``with_latency`` is accepted for hook compatibility; latency
-        stays in the parent (LUT composition is cheap, the profiled
-        estimator lives there)."""
+        Latency is never shipped: it stays in the parent (LUT composition
+        is cheap, the profiled estimator lives there)."""
         proxy_key = astuple(engine.proxy_config)
         macro_key = astuple(engine.macro_config)
         pending = self._pending_keys(engine)
@@ -1103,7 +1101,6 @@ class AsyncPopulationExecutor:
     # Blocking executor hooks (duck-typed by the engine and search loops)
     # ------------------------------------------------------------------
     def warm_population(self, engine, genotypes: Sequence[Genotype],
-                        with_latency: bool = False,
                         assume_canonical: bool = True) -> int:
         """Submit + gather-all: the blocking hook the engine duck-types.
 
@@ -1112,7 +1109,7 @@ class AsyncPopulationExecutor:
         defaults to ``False`` because search loops submit raw mutants
         directly.
         """
-        self.submit_population(engine, genotypes, with_latency=with_latency,
+        self.submit_population(engine, genotypes,
                                assume_canonical=assume_canonical)
         return sum(chunk.merged_rows for chunk in self.gather_all())
 

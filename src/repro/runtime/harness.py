@@ -342,6 +342,18 @@ def _run_pruning(harness: "RunHarness") -> SearchResult:
     ).search()
 
 
+@register_algorithm("tenas")
+def _run_tenas(harness: "RunHarness") -> SearchResult:
+    """The TE-NAS baseline: pruning on the trainless axes only."""
+    from repro.search.tenas import TENASSearch
+
+    return TENASSearch(
+        objective=harness.objective(),
+        seed=harness.config.seed,
+        executor=harness.executor,
+    ).search()
+
+
 @register_algorithm("macro")
 def _run_macro(harness: "RunHarness") -> SearchResult:
     """Secondary stage: fit ``config.arch`` onto the configured board."""
@@ -451,13 +463,14 @@ class RunHarness:
         self.store = (RuntimeStore(config.store_dir,
                                    telemetry=self.telemetry)
                       if config.store_dir else None)
-        # Extra cost axes fold into the store fingerprint so rows never
-        # alias across objective sets; the built-in latency/flops axes
-        # are part of the legacy indicator schema already, so plain runs
-        # (and latency-only objective sets) keep the legacy fingerprint
-        # bit-compatible.
+        # Cost axes fold into the store fingerprint so rows never alias
+        # across objective sets — except the axes an engine row already
+        # carries, so plain runs (and latency-only objective sets) keep
+        # the legacy fingerprint bit-compatible.
+        from repro.engine.core import INDICATOR_NAMES
+
         extra_axes = tuple(a for a in config.cost_axes()
-                           if a not in ("latency", "flops"))
+                           if a not in INDICATOR_NAMES)
         self.fingerprint = cache_fingerprint(self.proxy_config,
                                              self.macro_config,
                                              cost_axes=extra_axes)
@@ -581,30 +594,20 @@ class RunHarness:
     def objective(self):
         """A hybrid objective wired to this harness's engine and pool.
 
-        ``RuntimeConfig.objectives`` axes fold in at weight 1.0 unless an
-        explicit weight already covers them (``latency``/``flops`` via
-        their dedicated knobs, extra axes at unit weight) — so a config
-        naming ``energy,peak-mem`` scores those axes even outside
-        device-matrix mode.
+        ``RuntimeConfig.objectives`` axes fold in at weight 1.0, and a
+        nonzero ``latency_weight``/``flops_weight`` overrides its axis —
+        so a config naming ``energy,peak-mem`` scores those axes even
+        outside device-matrix mode.
         """
         from repro.search.objective import HybridObjective, ObjectiveWeights
 
-        axes = self.config.cost_axes()
-        latency_weight = self.config.latency_weight
-        if not latency_weight and "latency" in axes:
-            latency_weight = 1.0
-        flops_weight = self.config.flops_weight
-        if not flops_weight and "flops" in axes:
-            flops_weight = 1.0
-        extra = {axis: 1.0 for axis in axes
-                 if axis not in ("latency", "flops")}
-        return HybridObjective(
-            weights=ObjectiveWeights(latency=latency_weight,
-                                     flops=flops_weight,
-                                     costs=extra),
-            engine=self.engine,
-            executor=self.executor,
-        )
+        weights = {axis: 1.0 for axis in self.config.cost_axes()}
+        for axis, weight in (("latency", self.config.latency_weight),
+                             ("flops", self.config.flops_weight)):
+            if weight:
+                weights[axis] = weight
+        return HybridObjective(weights=ObjectiveWeights(costs=weights),
+                               engine=self.engine, executor=self.executor)
 
     # ------------------------------------------------------------------
     # Graceful drain
@@ -733,11 +736,9 @@ class RunHarness:
         :class:`~repro.search.costs.CostModel` adapters (LUT-mediated,
         driver-side), and each objective set sorts its own front.
         """
-        import numpy as np
-
         from repro.hardware.device import get_device
-        from repro.search.objective import HybridObjective, ObjectiveWeights
-        from repro.search.pareto import crowding_distance, non_dominated_sort
+        from repro.search.objective import HybridObjective
+        from repro.search.pareto import first_front
         from repro.searchspace.space import NasBench201Space
 
         config = self.config
@@ -748,10 +749,10 @@ class RunHarness:
         objective_sets = config.objective_sets() or (("latency",),)
         started_at = _utc_now()
         stats_before = self.engine.cache.stats
-        # Quality is the trainless part only — hardware enters as cost
-        # axes, so cells stay comparable across devices.
-        trainless = HybridObjective(weights=ObjectiveWeights(),
-                                    engine=self.engine,
+        # Quality is the trainless part only (the default weights) —
+        # hardware enters as cost axes, so cells stay comparable across
+        # devices.
+        trainless = HybridObjective(engine=self.engine,
                                     executor=self.executor)
         try:
             with Timer() as timer:
@@ -764,22 +765,25 @@ class RunHarness:
                     engine = self.engine.for_device(get_device(device_name))
                     # Price each axis once per device; objective sets
                     # sharing an axis reuse the same column.
-                    columns: Dict[str, np.ndarray] = {}
+                    columns = {
+                        axis: [engine.cost(g, axis) for g in genotypes]
+                        for axis in dict.fromkeys(
+                            a for axes in objective_sets for a in axes)}
                     for axes in objective_sets:
-                        for axis in axes:
-                            if axis in columns:
-                                continue
-                            if axis == "flops":
-                                columns[axis] = table.column("flops")
-                                continue
-                            model = engine.cost_model(axis)
-                            columns[axis] = np.array(
-                                [engine.cost(g, model) for g in genotypes],
-                                dtype=float)
-                    for axes in objective_sets:
-                        cells.append(self._matrix_cell(
-                            device_name, axes, genotypes, quality, columns,
-                            non_dominated_sort, crowding_distance))
+                        front = first_front(quality,
+                                            [columns[a] for a in axes])
+                        rows = [
+                            {"arch_str": genotypes[idx].to_arch_str(),
+                             "arch_index": genotypes[idx].to_index(),
+                             "quality_rank": float(quality[idx]),
+                             "crowding": crowding,
+                             **{a: float(columns[a][idx]) for a in axes}}
+                            for idx, crowding in zip(front.members,
+                                                     front.crowding)]
+                        cells.append(MatrixCell(
+                            device=device_name, objectives=tuple(axes),
+                            front=rows, knee=rows[front.knee],
+                            num_fronts=front.num_fronts))
         finally:
             self.close()
             finished_at = _utc_now()
@@ -819,49 +823,6 @@ class RunHarness:
             run_id=self.run_id,
             started_at=started_at,
             finished_at=finished_at,
-        )
-
-    @staticmethod
-    def _matrix_cell(device_name, axes, genotypes, quality, columns,
-                     non_dominated_sort, crowding_distance) -> MatrixCell:
-        """Sort one (device, objective-set) cell's Pareto front."""
-        import numpy as np
-
-        vectors = np.column_stack(
-            [np.asarray(quality, dtype=float)]
-            + [columns[axis] for axis in axes])
-        fronts = non_dominated_sort(vectors)
-        first = fronts[0]
-        crowd = crowding_distance(vectors[first])
-        rows: List[Dict[str, object]] = []
-        for idx, crowding in zip(first, crowd):
-            row: Dict[str, object] = {
-                "arch_str": genotypes[idx].to_arch_str(),
-                "arch_index": genotypes[idx].to_index(),
-                "quality_rank": float(quality[idx]),
-                "crowding": float(crowding),
-            }
-            for axis in axes:
-                row[axis] = float(columns[axis][idx])
-            rows.append(row)
-        rows.sort(key=lambda r: r[axes[0]])
-        # Knee: min-max normalise quality + every axis over the front,
-        # pick the row closest (L2) to the utopian corner.
-        knee = None
-        if rows:
-            matrix = np.array(
-                [[row["quality_rank"]] + [row[a] for a in axes]
-                 for row in rows], dtype=float)
-            lo, hi = matrix.min(axis=0), matrix.max(axis=0)
-            spread = np.where(hi > lo, hi - lo, 1.0)
-            normed = (matrix - lo) / spread
-            knee = rows[int(np.argmin(np.sqrt((normed ** 2).sum(axis=1))))]
-        return MatrixCell(
-            device=device_name,
-            objectives=tuple(axes),
-            front=rows,
-            knee=knee,
-            num_fronts=len(fronts),
         )
 
 

@@ -266,11 +266,13 @@ def build_cost_model(
 def _shared_or_new_estimator(device, macro_config, cache, lut_store,
                              latency_estimator, precision: str
                              ) -> LatencyEstimator:
-    """Reuse the caller's estimator when it matches, else build one."""
+    """Reuse the caller's estimator when it prices this device at this
+    precision, else build one.  A reused estimator's own macro
+    configuration wins (it is in every key the model writes), so the
+    latency axis always equals the caller's latency column."""
     if (latency_estimator is not None
             and latency_estimator.precision == precision
-            and latency_estimator.device.name == device.name
-            and astuple(latency_estimator.config) == astuple(macro_config)):
+            and latency_estimator.device.name == device.name):
         return latency_estimator
     kwargs = {"device": device, "config": macro_config,
               "precision": precision}

@@ -21,7 +21,7 @@ from repro.benchdata.cost import TrainingCostModel
 from repro.benchdata.surrogate import SurrogateModel
 from repro.errors import SearchError
 from repro.search.constraints import ConstraintChecker, HardwareConstraints
-from repro.search.objective import HybridObjective
+from repro.search.objective import TRAINLESS_AXES, HybridObjective
 from repro.search.result import SearchResult
 from repro.searchspace.canonical import canonicalize
 from repro.searchspace.genotype import Genotype
@@ -231,12 +231,10 @@ class SteadyStateEvolutionarySearch:
     # ------------------------------------------------------------------
     def _objective_vector(self, row: Dict[str, float]) -> Tuple[float, ...]:
         """Minimisation vector for Pareto dominance over raw indicators."""
-        vector = [row["ntk"], -row["linear_regions"]]
-        if self.objective.weights.uses_flops:
-            vector.append(row["flops"])
-        if self.objective.weights.uses_latency:
-            vector.append(row["latency"])
-        return tuple(vector)
+        costs = [axis for axis in self.objective.weights.weighted()
+                 if axis not in TRAINLESS_AXES]
+        return (row["ntk"], -row["linear_regions"]) + tuple(
+            row[axis] for axis in costs)
 
     def _pareto_parents(
         self, population: Sequence[Tuple[Genotype, Tuple[float, ...]]]
@@ -417,7 +415,7 @@ class SteadyStateEvolutionarySearch:
             history=history,
             ledger=self.objective.ledger,
             wall_seconds=timer.elapsed,
-            weights_used=vars(self.objective.weights).copy(),
+            weights_used=self.objective.weights.as_dict(),
         )
 
 
@@ -531,5 +529,5 @@ class TrainlessEvolutionarySearch:
             history=history,
             ledger=self.objective.ledger,
             wall_seconds=timer.elapsed,
-            weights_used=vars(self.objective.weights).copy(),
+            weights_used=self.objective.weights.as_dict(),
         )

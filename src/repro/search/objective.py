@@ -1,35 +1,35 @@
 """The hybrid objective function (paper contribution #2).
 
-Combines the two trainless indicators with the two hardware indicators by
-*relative ranking*: every candidate in a comparison batch is ranked per
-indicator, and ranks are summed with tunable weights::
+Combines indicators by *relative ranking*: every candidate in a
+comparison batch is ranked per axis, and ranks are summed with tunable
+weights::
 
     score = rank(κ_NTK; ↓) + rank(LR; ↑) + w_F · rank(F; ↓) + w_L · rank(L; ↓)
 
 Lower combined score is better.  ``w_F``/``w_L`` are the paper's "tunable
 weight factors for precise control over the contributions of F and L".
 
+:class:`ObjectiveWeights` is one axis → weight map.  The paper's four
+indicators are its default entries, and every other registered
+:class:`~repro.search.costs.CostModel` axis (``energy``, ``peak-mem``,
+``int8-latency``, ...) is an entry like them: it adds its own
+``w · rank(axis; ↓)`` term.  Only linear regions rank higher-is-better.
+
 Indicator values come from the batched evaluation engine
 (:class:`repro.engine.Engine`): one canonicalization-aware cache shared
 across repeats, search cycles and algorithms, with vectorized proxy
 kernels underneath.  The objective layer owns only weighting, rank
 combination and the supernet *expectation* terms.
-
-Beyond the paper's four, :attr:`ObjectiveWeights.costs` weights any
-registered :class:`~repro.search.costs.CostModel` axis (``energy``,
-``peak-mem``, ``int8-latency``, ...) into the same rank sum — every
-cost axis ranks lower-is-better and rides the engine cache under its
-model fingerprint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.engine.core import Engine
+from repro.engine.core import INDICATOR_NAMES, Engine
 from repro.engine.table import IndicatorTable
 from repro.errors import SearchError
 from repro.hardware.latency import LatencyEstimator
@@ -47,72 +47,79 @@ from repro.utils.timing import CostLedger
 #: never sees NaN/inf arithmetic surprises.
 _INF_SENTINEL = 1e30
 
+#: The paper's four axes and their default weights, in the rank sum's
+#: column order; every other axis follows them, sorted by name.
+_DEFAULT_WEIGHTS = {"ntk": 1.0, "linear_regions": 1.0,
+                    "flops": 0.0, "latency": 0.0}
 
-#: The four built-in indicator fields (fixed dataclass slots below).
-_BUILTIN_AXES = ("ntk", "linear_regions", "flops", "latency")
+#: The trainless axes; every other axis is a hardware cost.
+TRAINLESS_AXES = ("ntk", "linear_regions")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObjectiveWeights:
-    """Relative importance of each indicator in the combined rank.
+    """Relative importance of each axis in the combined rank.
 
-    The paper's four indicators stay as fixed fields; ``costs`` opens
-    the rank combination to any registered
-    :class:`~repro.search.costs.CostModel` axis (``energy``,
-    ``peak-mem``, ``int8-latency``, ...).  It accepts a mapping or pairs
-    and is normalized to a sorted tuple so weights stay hashable and
-    two objectives over the same axes compare equal.
+    One axis → weight map.  ``ntk=``, ``linear_regions=``, ``flops=``
+    and ``latency=`` are sugar for entries of ``costs``, which accepts
+    any registered axis as a mapping or pairs — so
+    ``ObjectiveWeights(costs={"latency": 0.5})`` equals
+    ``ObjectiveWeights(latency=0.5)``.  Giving one axis twice raises.
+    The paper's four axes are always present (κ_NTK and linear regions
+    at 1.0, FLOPs and latency at 0.0 unless given); the map is stored
+    as canonically ordered pairs, so weights stay hashable and two
+    objectives over the same axes compare equal.
     """
 
-    ntk: float = 1.0
-    linear_regions: float = 1.0
-    flops: float = 0.0
-    latency: float = 0.0
-    costs: Union[Mapping[str, float], Tuple[Tuple[str, float], ...]] = \
-        field(default=())
+    axes: Tuple[Tuple[str, float], ...]
 
-    def __post_init__(self) -> None:
-        pairs = (self.costs.items() if isinstance(self.costs, Mapping)
-                 else self.costs)
-        canonical = tuple(sorted((str(name), float(weight))
-                                 for name, weight in pairs))
-        names = [name for name, _ in canonical]
-        for name in names:
-            if name in _BUILTIN_AXES:
-                raise SearchError(
-                    f"cost axis {name!r} shadows a built-in indicator; "
-                    f"set the {name!r} field instead")
-        if len(set(names)) != len(names):
-            raise SearchError(f"duplicate cost axes in {names}")
-        object.__setattr__(self, "costs", canonical)
+    def __init__(
+        self,
+        ntk: Optional[float] = None,
+        linear_regions: Optional[float] = None,
+        flops: Optional[float] = None,
+        latency: Optional[float] = None,
+        costs: Union[Mapping[str, float], Sequence[Tuple[str, float]]] = (),
+    ) -> None:
+        pairs = list(costs.items() if isinstance(costs, Mapping) else costs)
+        pairs += [(axis, weight) for axis, weight in
+                  (("ntk", ntk), ("linear_regions", linear_regions),
+                   ("flops", flops), ("latency", latency))
+                  if weight is not None]
+        given: Dict[str, float] = {}
+        for axis, weight in pairs:
+            axis = str(axis)
+            if axis in given:
+                raise SearchError(f"duplicate weight for axis {axis!r}")
+            if weight < 0:
+                raise SearchError(f"negative weight {weight} for axis {axis!r}")
+            given[axis] = float(weight)
+        ordered = [(axis, given.pop(axis, default))
+                   for axis, default in _DEFAULT_WEIGHTS.items()]
+        object.__setattr__(self, "axes", tuple(ordered + sorted(given.items())))
+
+    def weight(self, axis: str) -> float:
+        """The weight of one axis (0.0 for an axis the map does not name)."""
+        return self.as_dict().get(axis, 0.0)
+
+    def as_dict(self) -> Dict[str, float]:
+        """The flat axis → weight map, in rank-sum column order."""
+        return dict(self.axes)
+
+    def weighted(self) -> Tuple[str, ...]:
+        """The axes with positive weight, in rank-sum column order."""
+        return tuple(axis for axis, weight in self.axes if weight > 0.0)
 
     def scaled_hardware(self, factor: float) -> "ObjectiveWeights":
         """Multiply every hardware weight (constraint adaptation step):
-        flops, latency, and each extra cost axis."""
-        return replace(
-            self, flops=self.flops * factor, latency=self.latency * factor,
-            costs=tuple((name, weight * factor)
-                        for name, weight in self.costs))
-
-    @property
-    def uses_flops(self) -> bool:
-        return self.flops > 0.0
-
-    @property
-    def uses_latency(self) -> bool:
-        return self.latency > 0.0
-
-    @property
-    def cost_weights(self) -> Dict[str, float]:
-        """Extra cost axes with positive weight, name -> weight."""
-        return {name: weight for name, weight in self.costs if weight > 0.0}
-
-    @property
-    def uses_costs(self) -> bool:
-        return bool(self.cost_weights)
+        every axis but κ_NTK and linear regions."""
+        return ObjectiveWeights(costs={
+            axis: weight if axis in TRAINLESS_AXES else weight * factor
+            for axis, weight in self.axes})
 
 
-#: Rank directions: True = higher raw value is better.
+#: Rank directions: True = higher raw value is better.  Axes missing
+#: here (every extra cost axis) rank lower-is-better.
 _DIRECTIONS = {
     "ntk": False,
     "linear_regions": True,
@@ -175,9 +182,11 @@ class HybridObjective:
         return self.engine.built_latency_estimator
 
     def cost_models(self) -> List:
-        """The registered models behind the weights' extra cost axes."""
-        return [self.engine.cost_model(name)
-                for name in self.weights.cost_weights]
+        """The registered models behind the weighted axes that an engine
+        row does not already carry."""
+        return [self.engine.cost_model(axis)
+                for axis in self.weights.weighted()
+                if axis not in INDICATOR_NAMES]
 
     def with_weights(self, weights: ObjectiveWeights) -> "HybridObjective":
         """Same engine (estimators, cache, ledger), different weights."""
@@ -188,10 +197,10 @@ class HybridObjective:
     # Genotype-level indicators (engine-cached, canonicalization-aware)
     # ------------------------------------------------------------------
     def genotype_indicators(self, genotype: Genotype) -> Dict[str, float]:
-        """Raw indicator values for a concrete architecture (the four
-        built-ins, plus one entry per weighted extra cost axis)."""
-        row = self.engine.evaluate(genotype,
-                                   with_latency=self.weights.uses_latency)
+        """Raw indicator values for a concrete architecture (the engine
+        row, plus one entry per other weighted axis)."""
+        row = self.engine.evaluate(
+            genotype, with_latency=self.weights.weight("latency") > 0.0)
         for model in self.cost_models():
             row[model.name] = self.engine.cost(genotype, model)
         return row
@@ -207,7 +216,7 @@ class HybridObjective:
         """
         return self.engine.evaluate_population(
             genotypes,
-            with_latency=self.weights.uses_latency,
+            with_latency=self.weights.weight("latency") > 0.0,
             executor=executor if executor is not None else self.executor,
             cost_models=self.cost_models() or None,
         )
@@ -217,22 +226,21 @@ class HybridObjective:
     # ------------------------------------------------------------------
     def supernet_indicators(self, edge_specs: Sequence[EdgeSpec]) -> Dict[str, float]:
         """Indicator values for a supernet state (alive-op sets)."""
-        if self.weights.uses_costs:
+        extra = [axis for axis in self.weights.weighted()
+                 if axis not in INDICATOR_NAMES]
+        if extra:
             raise SearchError(
                 "extra cost axes are genotype-level models; the supernet "
-                "(pruning) path supports only the built-in indicators — "
-                f"drop cost weights {sorted(self.weights.cost_weights)} "
-                "or use a genotype-level algorithm")
-        out: Dict[str, float] = {
+                "(pruning) path supports only the paper's four indicators "
+                f"— drop cost weights {extra} or use a genotype-level "
+                "algorithm")
+        return {
             "ntk": self.engine.supernet_ntk(edge_specs),
             "linear_regions": self.engine.supernet_linear_regions(edge_specs),
             "flops": self.expected_flops(edge_specs),
+            "latency": (self.expected_latency_ms(edge_specs)
+                        if self.weights.weight("latency") > 0.0 else 0.0),
         }
-        if self.weights.uses_latency:
-            out["latency"] = self.expected_latency_ms(edge_specs)
-        else:
-            out["latency"] = 0.0
-        return out
 
     def supernet_population(
         self, spec_lists: Sequence[Sequence[EdgeSpec]],
@@ -302,26 +310,18 @@ class HybridObjective:
     # Rank combination
     # ------------------------------------------------------------------
     def combined_ranks(self, indicator_rows: List[Dict[str, float]]) -> np.ndarray:
-        """Weighted rank sum across a comparison batch (lower = better)."""
-        names = ["ntk", "linear_regions"]
-        weights = {"ntk": self.weights.ntk,
-                   "linear_regions": self.weights.linear_regions}
-        if self.weights.uses_flops:
-            names.append("flops")
-            weights["flops"] = self.weights.flops
-        if self.weights.uses_latency:
-            names.append("latency")
-            weights["latency"] = self.weights.latency
-        directions = dict(_DIRECTIONS)
-        for name, weight in self.weights.cost_weights.items():
-            names.append(name)
-            weights[name] = weight
-            directions[name] = False  # every cost axis: lower is better
+        """Weighted rank sum across a comparison batch (lower = better).
+
+        One column per weighted axis, summed in the weights' canonical
+        order (the paper's four, then extra axes sorted by name).
+        """
+        weights = self.weights.as_dict()
         columns = {}
-        for name in names:
-            raw = np.array([row[name] for row in indicator_rows], dtype=float)
+        for axis in self.weights.weighted():
+            raw = np.array([row[axis] for row in indicator_rows], dtype=float)
             raw[~np.isfinite(raw)] = _INF_SENTINEL
-            columns[name] = raw
+            columns[axis] = raw
+        directions = {axis: _DIRECTIONS.get(axis, False) for axis in columns}
         return combine_ranks(columns, directions, weights)
 
     def score_genotypes(self, genotypes: Sequence[Genotype]) -> np.ndarray:

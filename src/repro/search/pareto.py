@@ -1,4 +1,4 @@
-"""Multi-objective zero-shot search: the accuracy/latency Pareto front.
+"""Multi-objective zero-shot search: the quality/cost Pareto front.
 
 MicroNAS scalarises its objectives with tunable weights (``w_F``,
 ``w_L``); picking those weights *is* picking a point on the quality/
@@ -9,21 +9,24 @@ cheap enough to score a sample directly) over
 
 * **trainless quality** — the rank-combined NTK + linear-region score
   (lower is better, exactly the hybrid objective's trainless part),
-* **estimated MCU latency** (lower is better),
-* optionally **FLOPs**,
-* or any registered :class:`~repro.search.costs.CostModel` axis
-  (``energy``, ``peak-mem``, ``int8-latency``, ...) via ``objectives=``
-  — the front generalises to N-dimensional cost vectors while the
-  default quality/latency pair keeps the 2-D behaviour bit-for-bit.
+* one column per named cost axis (``objectives=``, default
+  ``("latency",)``): any registered
+  :class:`~repro.search.costs.CostModel` axis — ``latency``, ``flops``,
+  ``energy``, ``peak-mem``, ``int8-latency``, ... — each priced on the
+  canonical form through the engine's cache (lower is better).
 
+The objective's weights never enter the front: they change neither the
+quality column nor how an axis is priced.  :func:`first_front` is the
+one front builder (sort, crowding, order, knee) that both
+:class:`ParetoZeroShotSearch` and the runtime's device-matrix mode use.
 The deliverable is the first front plus a knee point, which a user can
 hand to the secondary stage (:mod:`repro.search.macro`) per deployment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -141,38 +144,92 @@ def crowding_selection_weights(points: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
+def knee_index(vectors: np.ndarray) -> int:
+    """The balanced pick among objective vectors (rows, minimisation).
+
+    Every column is min-max normalised; the knee is the row closest (L2)
+    to the utopian corner (0, ..., 0).
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    if len(vectors) == 0:
+        raise SearchError("empty Pareto front")
+    lo, hi = vectors.min(axis=0), vectors.max(axis=0)
+    normed = (vectors - lo) / np.where(hi > lo, hi - lo, 1.0)
+    if normed.shape[1] == 2:
+        distance = np.hypot(normed[:, 0], normed[:, 1])
+    else:
+        distance = np.sqrt((normed ** 2).sum(axis=1))
+    return int(np.argmin(distance))
+
+
+@dataclass(frozen=True)
+class FirstFront:
+    """The first Pareto front of one sample (see :func:`first_front`)."""
+
+    #: Sample indices of the front's members, sorted by the first cost axis.
+    members: List[int]
+    #: NSGA-II crowding distance of each member, aligned with ``members``.
+    crowding: List[float]
+    #: Position of the knee point in ``members``.
+    knee: int
+    num_fronts: int
+
+
+def first_front(quality: Sequence[float],
+                costs: Sequence[Sequence[float]]) -> FirstFront:
+    """Sort a sample over (quality, *cost columns) and annotate its first
+    front: members ordered by the first cost column (stable), their
+    crowding distances, and the knee."""
+    vectors = np.column_stack([np.asarray(quality, dtype=float)]
+                              + [np.asarray(c, dtype=float) for c in costs])
+    fronts = non_dominated_sort(vectors)
+    first = fronts[0]
+    crowd = crowding_distance(vectors[first])
+    order = sorted(range(len(first)), key=lambda k: vectors[first[k], 1])
+    members = [first[k] for k in order]
+    return FirstFront(members=members,
+                      crowding=[float(crowd[k]) for k in order],
+                      knee=knee_index(vectors[members]),
+                      num_fronts=len(fronts))
+
+
 @dataclass(frozen=True)
 class ParetoPoint:
     """One architecture with its objective vector."""
 
     genotype: Genotype
     quality_rank: float      # trainless combined rank (lower = better)
-    latency_ms: float
-    flops: float
+    #: Cost-axis values (name, value), canonically sorted; a mapping is
+    #: accepted and normalised.
+    costs: Union[Mapping[str, float], Tuple[Tuple[str, float], ...]] = ()
     crowding: float = field(default=0.0, compare=False)
-    #: Extra cost-axis values (name, value), canonically sorted — only
-    #: populated when the search ran with non-default ``objectives``.
-    costs: Tuple[Tuple[str, float], ...] = ()
 
-    def objectives(self, use_flops: bool) -> Tuple[float, ...]:
-        if use_flops:
-            return (self.quality_rank, self.latency_ms, self.flops)
-        return (self.quality_rank, self.latency_ms)
+    def __post_init__(self) -> None:
+        pairs = (self.costs.items() if isinstance(self.costs, Mapping)
+                 else self.costs)
+        object.__setattr__(self, "costs", tuple(sorted(
+            (str(name), float(value)) for name, value in pairs)))
 
     def cost(self, axis: str) -> float:
         """The value of one named cost axis on this point."""
-        if axis == "latency":
-            return self.latency_ms
-        if axis == "flops":
-            return self.flops
         for name, value in self.costs:
             if name == axis:
                 return value
         raise SearchError(f"point carries no cost axis {axis!r}")
 
+    @property
+    def latency_ms(self) -> float:
+        return self.cost("latency")
+
     def vector(self, axes: Sequence[str]) -> Tuple[float, ...]:
         """(quality, *costs) objective vector over the named axes."""
         return (self.quality_rank,) + tuple(self.cost(a) for a in axes)
+
+    def objectives(self, use_flops: bool) -> Tuple[float, ...]:
+        """(quality, latency[, flops]): :meth:`vector` over the default
+        axes, with ``include_flops``'s extra column."""
+        return self.vector(("latency", "flops") if use_flops
+                           else ("latency",))
 
 
 @dataclass
@@ -187,29 +244,11 @@ class ParetoResult:
     axes: Tuple[str, ...] = ("latency",)
 
     def knee_point(self) -> ParetoPoint:
-        """The balanced pick: minimal normalised distance to the ideal.
-
-        Every objective is min-max normalised over the front; the knee is
-        the point closest (L2) to the utopian corner (0, ..., 0).
-        """
+        """The balanced pick (see :func:`knee_index`)."""
         if not self.front:
             raise SearchError("empty Pareto front")
-
-        def normalise(values: np.ndarray) -> np.ndarray:
-            spread = values.max() - values.min()
-            if spread == 0:
-                return np.zeros_like(values)
-            return (values - values.min()) / spread
-
-        quality = normalise(np.array([p.quality_rank for p in self.front]))
-        columns = [normalise(np.array([p.cost(axis) for p in self.front]))
-                   for axis in self.axes]
-        if len(columns) == 1:
-            distance = np.hypot(quality, columns[0])
-        else:
-            distance = np.sqrt(quality ** 2
-                               + sum(column ** 2 for column in columns))
-        return self.front[int(np.argmin(distance))]
+        return self.front[knee_index(
+            [p.vector(self.axes) for p in self.front])]
 
     def fastest(self) -> ParetoPoint:
         return min(self.front, key=lambda p: p.latency_ms)
@@ -221,12 +260,11 @@ class ParetoResult:
 class ParetoZeroShotSearch:
     """Score a sample with the trainless proxies; return the Pareto front.
 
-    ``include_flops=True`` adds FLOPs as a third objective (useful when
-    the deployment board is undecided and latency is board-specific).
-    ``objectives`` names the cost axes explicitly — any mix of the
-    built-ins and registered :class:`~repro.search.costs.CostModel` axes
-    (e.g. ``("energy", "peak-mem")``); the default stays
-    ``("latency",)``, preserving the original 2-D behaviour exactly.
+    ``objectives`` names the cost axes — any registered
+    :class:`~repro.search.costs.CostModel` axis (e.g. ``("energy",
+    "peak-mem")``); the default is ``("latency",)``.
+    ``include_flops=True`` appends ``flops`` (useful when the deployment
+    board is undecided and latency is board-specific).
     """
 
     algorithm_name = "pareto-zeroshot"
@@ -245,7 +283,6 @@ class ParetoZeroShotSearch:
         self.objective = objective
         self.num_samples = num_samples
         self.seed = seed
-        self.include_flops = include_flops
         self.space = space or NasBench201Space()
         axes = list(objectives) if objectives else ["latency"]
         if include_flops and "flops" not in axes:
@@ -258,71 +295,34 @@ class ParetoZeroShotSearch:
     def _score_population(
         self, genotypes: Sequence[Genotype]
     ) -> List[ParetoPoint]:
-        # One population call first: canonical dedupe plus the parallel
-        # runtime's executor hook (when the objective carries one); the
-        # per-candidate reads below then resolve from the shared cache.
-        self.objective.evaluate_population(genotypes)
-        rows: List[Dict[str, float]] = []
-        for genotype in genotypes:
-            indicators = self.objective.genotype_indicators(genotype)
-            rows.append(indicators)
+        # One population call: canonical dedupe plus the parallel
+        # runtime's executor hook (when the objective carries one).
+        table = self.objective.evaluate_population(genotypes)
         # Quality is the *trainless* part only (NTK + linear regions);
-        # hardware enters as its own objective axis, not via the weights.
+        # hardware enters as its own objective axes, not via the weights.
         trainless = self.objective.with_weights(ObjectiveWeights())
-        quality = trainless.combined_ranks(rows)
-        points = []
-        extra_axes = [a for a in self.axes if a not in ("latency", "flops")]
+        quality = trainless.combined_ranks(table.rows())
         engine = self.objective.engine
-        models = {axis: engine.cost_model(axis) for axis in extra_axes}
-        estimator = (self.objective.latency_estimator
-                     if "latency" in self.axes else None)
-        for genotype, row, q in zip(genotypes, rows, quality):
-            # A row carries a real latency only when the objective's
-            # weights requested one; otherwise the engine reports a 0.0
-            # placeholder.  Key on *that* — a genuine 0.0 ms estimate
-            # from a latency-weighted objective must be kept, not
-            # silently re-estimated.
-            latency = (row["latency"] if self.objective.weights.uses_latency
-                       else None)
-            if latency is None:
-                latency = (estimator.estimate_ms(genotype)
-                           if estimator is not None else 0.0)
-            points.append(ParetoPoint(
-                genotype=genotype,
-                quality_rank=float(q),
-                latency_ms=float(latency),
-                flops=float(row["flops"]),
-                costs=tuple(sorted(
-                    (axis, float(engine.cost(genotype, model)))
-                    for axis, model in models.items())),
-            ))
-        return points
+        return [
+            ParetoPoint(genotype=genotype, quality_rank=float(q),
+                        costs={axis: engine.cost(genotype, axis)
+                               for axis in self.axes})
+            for genotype, q in zip(genotypes, quality)
+        ]
 
     def search(self) -> ParetoResult:
         """Sample, score, sort; return the first front (crowding-annotated)."""
         genotypes = self.space.sample(self.num_samples, rng=self.seed)
         with Timer() as timer:
             points = self._score_population(genotypes)
-            vectors = np.array([p.vector(self.axes) for p in points])
-            fronts = non_dominated_sort(vectors)
-            first = fronts[0]
-            crowd = crowding_distance(vectors[first])
-            front = [
-                ParetoPoint(
-                    genotype=points[idx].genotype,
-                    quality_rank=points[idx].quality_rank,
-                    latency_ms=points[idx].latency_ms,
-                    flops=points[idx].flops,
-                    crowding=float(c),
-                    costs=points[idx].costs,
-                )
-                for idx, c in zip(first, crowd)
-            ]
-        front.sort(key=lambda p: p.cost(self.axes[0]))
+            front = first_front(
+                [p.quality_rank for p in points],
+                [[p.cost(axis) for p in points] for axis in self.axes])
         return ParetoResult(
-            front=front,
+            front=[replace(points[idx], crowding=crowding)
+                   for idx, crowding in zip(front.members, front.crowding)],
             population_size=self.num_samples,
             wall_seconds=timer.elapsed,
-            num_fronts=len(fronts),
+            num_fronts=front.num_fronts,
             axes=self.axes,
         )

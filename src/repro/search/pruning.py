@@ -121,7 +121,7 @@ class MicroNASSearch:
             history=history,
             ledger=self.objective.ledger,
             wall_seconds=total_timer.elapsed,
-            weights_used=vars(self.objective.weights).copy(),
+            weights_used=self.objective.weights.as_dict(),
         )
 
     # ------------------------------------------------------------------
@@ -149,13 +149,12 @@ class MicroNASSearch:
                 macro_config=self.objective.macro_config,
                 latency_estimator=self.objective.built_latency_estimator,
             )
-        weights = self.objective.weights
-        if constraints.max_latency_ms is not None and not weights.uses_latency:
-            weights = ObjectiveWeights(weights.ntk, weights.linear_regions,
-                                       weights.flops, latency=0.5)
-        if constraints.max_flops is not None and not weights.uses_flops:
-            weights = ObjectiveWeights(weights.ntk, weights.linear_regions,
-                                       flops=0.5, latency=weights.latency)
+        weights = self.objective.weights.as_dict()
+        for axis, bound in (("latency", constraints.max_latency_ms),
+                            ("flops", constraints.max_flops)):
+            if bound is not None and not weights[axis]:
+                weights[axis] = 0.5
+        weights = ObjectiveWeights(costs=weights)
 
         best: Optional[SearchResult] = None
         best_violation = float("inf")
@@ -167,7 +166,7 @@ class MicroNASSearch:
             violation = checker.total_violation(result.genotype)
             outer_history.append({
                 "outer_round": outer,
-                "weights": vars(weights).copy(),
+                "weights": weights.as_dict(),
                 "genotype": result.arch_str,
                 "violation": violation,
             })

@@ -86,5 +86,5 @@ class ZeroShotRandomSearch:
             }],
             ledger=self.objective.ledger,
             wall_seconds=timer.elapsed,
-            weights_used=vars(self.objective.weights).copy(),
+            weights_used=self.objective.weights.as_dict(),
         )

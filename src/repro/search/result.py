@@ -77,17 +77,19 @@ class SearchResult:
 
     @classmethod
     def load_json(cls, path: str) -> "SearchResult":
-        """Reload a result saved with :meth:`save_json`.
+        """Reload a result saved with :meth:`save_json`."""
+        import json
+
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_dict(json.load(fh))
+
+    @classmethod
+    def from_dict(cls, payload: Dict) -> "SearchResult":
+        """Rebuild a result from :meth:`to_dict` output.
 
         The ledger and history round-trip; the genotype is rebuilt from its
         index.
         """
-        import json
-
-        from repro.searchspace.genotype import Genotype
-
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
         ledger = CostLedger(
             seconds=dict(payload["ledger"]["seconds"]),
             counts={k: int(v) for k, v in payload["ledger"]["counts"].items()},

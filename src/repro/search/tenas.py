@@ -31,17 +31,13 @@ class TENASSearch(MicroNASSearch):
         executor=None,
     ) -> None:
         if objective is None:
-            objective = HybridObjective(
-                proxy_config=proxy_config,
-                weights=ObjectiveWeights(ntk=1.0, linear_regions=1.0,
-                                         flops=0.0, latency=0.0),
-                macro_config=macro_config,
-            )
+            objective = HybridObjective(proxy_config=proxy_config,
+                                        macro_config=macro_config)
         else:
-            objective = objective.with_weights(
-                ObjectiveWeights(ntk=objective.weights.ntk,
-                                 linear_regions=objective.weights.linear_regions,
-                                 flops=0.0, latency=0.0)
-            )
+            # Keep the trainless weights, drop every hardware axis.
+            weights = objective.weights
+            objective = objective.with_weights(ObjectiveWeights(
+                ntk=weights.weight("ntk"),
+                linear_regions=weights.weight("linear_regions")))
         super().__init__(objective, candidate_ops=candidate_ops, seed=seed,
                          executor=executor)

@@ -97,9 +97,9 @@ class TestFrontHypervolume:
 
         front = [
             ParetoPoint(Genotype(("skip_connect",) * 6), quality_rank=8.0,
-                        latency_ms=50.0, flops=1.0),
+                        costs={"latency": 50.0, "flops": 1.0}),
             ParetoPoint(Genotype(("nor_conv_3x3",) * 6), quality_rank=2.0,
-                        latency_ms=200.0, flops=9.0),
+                        costs={"latency": 200.0, "flops": 9.0}),
         ]
         value = front_hypervolume(
             [p.latency_ms for p in front],

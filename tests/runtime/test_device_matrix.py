@@ -75,6 +75,37 @@ class TestMatrixRun:
         assert (report.trainless_evals["rows_computed"]
                 == 3 * report.unique_canonical)
 
+    def test_every_cell_equals_the_pareto_search(self, report):
+        """run_matrix and ParetoZeroShotSearch share one front builder:
+        each cell is the search's front over the same sample, seed,
+        board and axes — members, order, crowding, quality and knee."""
+        from repro.engine.core import Engine
+        from repro.hardware.device import get_device
+        from repro.search import HybridObjective, ParetoZeroShotSearch
+
+        config = report.config
+        engines = {}
+        for cell in report.cells:
+            if cell.device not in engines:
+                engines[cell.device] = Engine(
+                    proxy_config=config.proxy_config(),
+                    macro_config=config.macro_config(),
+                    device=get_device(cell.device))
+            result = ParetoZeroShotSearch(
+                HybridObjective(engine=engines[cell.device]),
+                num_samples=config.samples, seed=config.seed,
+                objectives=cell.objectives).search()
+            expected = [
+                {"arch_str": p.genotype.to_arch_str(),
+                 "arch_index": p.genotype.to_index(),
+                 "quality_rank": p.quality_rank, "crowding": p.crowding,
+                 **dict(p.costs)}
+                for p in result.front]
+            assert cell.front == expected
+            knee = result.knee_point()
+            assert cell.knee == expected[result.front.index(knee)]
+            assert cell.num_fronts == result.num_fronts
+
     def test_cell_lookup(self, report):
         cell = report.cell("nucleo-l432kc", ("energy", "peak-mem"))
         assert cell.device == "nucleo-l432kc"

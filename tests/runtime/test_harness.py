@@ -186,3 +186,38 @@ class TestRunHarness:
             assert report.algorithm == "noop-test"
         finally:
             ALGORITHMS.pop("noop-test", None)
+
+    @pytest.mark.slow
+    def test_tenas_matches_a_direct_search(self):
+        from repro.search import TENASSearch
+
+        config = _quick_config(algorithm="tenas", seed=0,
+                               latency_weight=0.5)
+        report = RunHarness(config).run()
+        direct = TENASSearch(proxy_config=config.proxy_config(),
+                             seed=0).search()
+        assert report.algorithm == "tenas"
+        assert report.arch_str == direct.arch_str
+        assert report.indicators == direct.indicators
+        assert report.weights_used == direct.weights_used
+
+    def test_weights_used_is_a_flat_float_map(self):
+        import json
+
+        from repro.search.result import SearchResult
+        from repro.searchspace.genotype import Genotype
+
+        report = RunHarness(_quick_config(samples=4,
+                                          objectives=("energy",))).run()
+        assert report.weights_used == {"ntk": 1.0, "linear_regions": 1.0,
+                                       "flops": 0.0, "latency": 0.0,
+                                       "energy": 1.0}
+        assert all(type(w) is float for w in report.weights_used.values())
+        assert json.loads(json.dumps(report.to_dict()))["weights_used"] \
+            == report.weights_used
+        result = SearchResult(genotype=Genotype.from_index(report.arch_index),
+                              algorithm=report.algorithm,
+                              weights_used=report.weights_used)
+        restored = SearchResult.from_dict(
+            json.loads(json.dumps(result.to_dict())))
+        assert restored.weights_used == report.weights_used

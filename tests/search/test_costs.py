@@ -131,13 +131,21 @@ class TestEngineCost:
 class TestWeightsGeneralization:
     def test_costs_mapping_normalized_sorted(self):
         w = ObjectiveWeights(costs={"peak-mem": 2.0, "energy": 1.0})
-        assert w.costs == (("energy", 1.0), ("peak-mem", 2.0))
+        assert w.axes == (("ntk", 1.0), ("linear_regions", 1.0),
+                          ("flops", 0.0), ("latency", 0.0),
+                          ("energy", 1.0), ("peak-mem", 2.0))
         assert w == ObjectiveWeights(costs=(("peak-mem", 2.0),
                                             ("energy", 1.0)))
 
-    def test_builtin_shadowing_rejected(self):
-        with pytest.raises(SearchError, match="shadows a built-in"):
-            ObjectiveWeights(costs={"latency": 1.0})
+    def test_paper_axis_through_costs_equals_its_keyword(self):
+        assert ObjectiveWeights(costs={"latency": 0.5}) == \
+            ObjectiveWeights(latency=0.5)
+        assert ObjectiveWeights(costs={"ntk": 2.0, "flops": 0.25}) == \
+            ObjectiveWeights(ntk=2.0, flops=0.25)
+        with pytest.raises(SearchError, match="duplicate"):
+            ObjectiveWeights(latency=0.5, costs={"latency": 0.5})
+        with pytest.raises(SearchError, match="duplicate"):
+            ObjectiveWeights(ntk=1.0, costs={"ntk": 1.0})
 
     def test_duplicate_axes_rejected(self):
         with pytest.raises(SearchError, match="duplicate"):
@@ -147,14 +155,18 @@ class TestWeightsGeneralization:
         w = ObjectiveWeights(flops=0.5, latency=0.5,
                              costs={"energy": 1.0, "peak-mem": 0.0})
         scaled = w.scaled_hardware(2.0)
-        assert scaled.flops == 1.0 and scaled.latency == 1.0
-        assert scaled.cost_weights == {"energy": 2.0}
-        # Trainless weights are never part of the hardware family.
-        assert scaled.ntk == w.ntk and scaled.linear_regions == w.linear_regions
+        assert scaled.as_dict() == {"ntk": 1.0, "linear_regions": 1.0,
+                                    "flops": 1.0, "latency": 1.0,
+                                    "energy": 2.0, "peak-mem": 0.0}
 
-    def test_uses_costs_ignores_zero_weights(self):
-        assert not ObjectiveWeights(costs={"energy": 0.0}).uses_costs
-        assert ObjectiveWeights(costs={"energy": 0.1}).uses_costs
+    def test_zero_weighted_axes_are_not_weighted(self):
+        assert ObjectiveWeights(costs={"energy": 0.0}).weighted() == \
+            ("ntk", "linear_regions")
+        assert "energy" in ObjectiveWeights(costs={"energy": 0.1}).weighted()
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(SearchError, match="negative"):
+            ObjectiveWeights(costs={"energy": -1.0})
 
 
 class TestObjectiveIntegration:

@@ -121,3 +121,16 @@ def test_steady_state_runs_under_both_selection_modes(parent_selection):
     assert result.genotype is not None
     assert result.algorithm == "evolutionary-steady-state"
     assert "ntk" in result.indicators
+
+
+def test_parent_front_spans_every_weighted_cost_axis():
+    """Extra cost axes are ordinary axes: the Pareto parent set sees
+    every weighted one, in the weights' canonical order."""
+    from repro.search.objective import ObjectiveWeights
+
+    search = _search("crowding")
+    search.objective = search.objective.with_weights(
+        ObjectiveWeights(latency=0.5, costs={"energy": 1.0}))
+    row = {"ntk": 3.0, "linear_regions": 5.0, "flops": 7.0,
+           "latency": 11.0, "energy": 13.0}
+    assert search._objective_vector(row) == (3.0, -5.0, 11.0, 13.0)

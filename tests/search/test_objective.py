@@ -24,12 +24,13 @@ def objective(tiny_proxy_config, shared_latency_estimator):
 class TestWeights:
     def test_defaults_no_hardware(self):
         w = ObjectiveWeights()
-        assert not w.uses_flops and not w.uses_latency
+        assert w.weighted() == ("ntk", "linear_regions")
+        assert w.weight("flops") == 0.0 and w.weight("latency") == 0.0
 
     def test_scaled_hardware(self):
         w = ObjectiveWeights(flops=0.5, latency=0.25).scaled_hardware(2.0)
-        assert w.flops == 1.0 and w.latency == 0.5
-        assert w.ntk == 1.0  # proxies untouched
+        assert w.weight("flops") == 1.0 and w.weight("latency") == 0.5
+        assert w.weight("ntk") == 1.0  # proxies untouched
 
     def test_with_weights_shares_estimator_and_ledger(self, objective):
         clone = objective.with_weights(ObjectiveWeights())

@@ -238,6 +238,31 @@ class TestZeroLatencyRegression:
         assert all(p.latency_ms == 0.0 for p in result.front)
 
 
+class TestFrontIgnoresWeights:
+    """Every axis is priced on the canonical form through the engine
+    cache, so the objective's weights cannot move the front (an
+    unweighted latency axis used to be re-estimated on the raw genotype)."""
+
+    @pytest.mark.parametrize("device", ["nucleo-f746zg", "nucleo-l432kc"])
+    def test_latency_weight_does_not_move_the_front(self, device):
+        from repro.engine.core import Engine
+        from repro.eval.benchconfig import reduced_proxy_config
+        from repro.hardware.device import get_device
+
+        fronts = []
+        for weights in (ObjectiveWeights(), ObjectiveWeights(latency=0.5)):
+            engine = Engine(proxy_config=reduced_proxy_config(seed=0),
+                            device=get_device(device))
+            result = ParetoZeroShotSearch(
+                HybridObjective(weights=weights, engine=engine),
+                num_samples=8, seed=7).search()
+            fronts.append((
+                [(p.genotype, p.quality_rank, p.crowding, p.latency_ms)
+                 for p in result.front],
+                result.knee_point().genotype))
+        assert fronts[0] == fronts[1]
+
+
 class TestExtraCostAxes:
     def test_energy_axis_front(self, shared_latency_estimator):
         objective = HybridObjective(
@@ -258,7 +283,8 @@ class TestExtraCostAxes:
 
     def test_missing_axis_rejected(self):
         point = ParetoPoint(genotype=Genotype(("skip_connect",) * 6),
-                            quality_rank=1.0, latency_ms=2.0, flops=3.0)
+                            quality_rank=1.0,
+                            costs={"latency": 2.0, "flops": 3.0})
         with pytest.raises(SearchError, match="no cost axis"):
             point.cost("peak-mem")
 

@@ -115,10 +115,10 @@ class TestHardwareAwareness:
 class TestTENAS:
     def test_tenas_ignores_hardware(self, tiny_proxy_config):
         search = TENASSearch(proxy_config=tiny_proxy_config, seed=0)
-        assert search.objective.weights.flops == 0.0
-        assert search.objective.weights.latency == 0.0
+        assert search.objective.weights.weight("flops") == 0.0
+        assert search.objective.weights.weight("latency") == 0.0
         assert search.algorithm_name == "tenas"
 
     def test_tenas_from_existing_objective(self, objective):
         search = TENASSearch(objective=objective)
-        assert search.objective.weights.latency == 0.0
+        assert search.objective.weights.weight("latency") == 0.0

@@ -217,3 +217,38 @@ class TestRuntime:
         out = capsys.readouterr().out
         assert "parallel evaluation runtime examples" in out
         assert "--store" in out
+
+
+class TestHarnessRoutedCommands:
+    """search and pareto run through the run harness, like runtime."""
+
+    @pytest.fixture
+    def harness_calls(self, monkeypatch):
+        from repro.runtime import RunHarness
+
+        calls = []
+        for name in ("run", "run_matrix"):
+            original = getattr(RunHarness, name)
+
+            def spy(self, _original=original, _name=name):
+                calls.append((_name, self.config))
+                return _original(self)
+
+            monkeypatch.setattr(RunHarness, name, spy)
+        return calls
+
+    @pytest.mark.slow
+    def test_tenas_search_runs_through_the_harness(self, capsys,
+                                                   harness_calls):
+        assert main(["search", "--algorithm", "tenas", "--fast"]) == 0
+        assert [(name, config.algorithm)
+                for name, config in harness_calls] == [("run", "tenas")]
+        assert "tenas search result" in capsys.readouterr().out
+
+    def test_pareto_runs_through_the_harness(self, capsys, harness_calls):
+        assert main(["pareto", "--samples", "8", "--fast"]) == 0
+        (name, config), = harness_calls
+        assert name == "run_matrix"
+        assert config.devices == ("nucleo-f746zg",)
+        assert config.objectives == ("latency",)
+        assert "knee ->" in capsys.readouterr().out
