@@ -18,8 +18,10 @@ from __future__ import annotations
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.autograd.tensor import Tensor, _as_tensor
+from repro.autograd.precision import default_dtype
+from repro.autograd.tensor import Tensor, _as_tensor, _unbroadcast
 from repro.errors import ShapeError
 
 Axis = Union[None, int, Tuple[int, ...]]
@@ -254,12 +256,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out._attach((a, b), backward)
 
 
+def _zero_padded(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` with ``padding`` zeros around its last two (spatial) axes."""
+    if not padding:
+        return x
+    h, w = x.shape[-2:]
+    out = np.zeros(x.shape[:-2] + (h + 2 * padding, w + 2 * padding),
+                   dtype=x.dtype)
+    out[..., padding:padding + h, padding:padding + w] = x
+    return out
+
+
 def pad2d(a: Tensor, padding: int) -> Tensor:
     """Zero-pad the last two (spatial) axes of an NCHW tensor."""
     if padding == 0:
         return a
-    pad_spec = [(0, 0)] * (a.data.ndim - 2) + [(padding, padding)] * 2
-    out = Tensor(np.pad(a.data, pad_spec))
+    out = Tensor(_zero_padded(a.data, padding))
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
@@ -279,21 +291,28 @@ def _conv_out_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (size + 2 * padding - kernel) // stride + 1
 
 
+def _is_pointwise(kernel: int, stride: int, padding: int) -> bool:
+    """A 1×1/stride-1/unpadded window: its columns are the input itself."""
+    return kernel == 1 and stride == 1 and padding == 0
+
+
 def _im2col(
     x: np.ndarray, kernel: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
-    """Unfold NCHW ``x`` into columns of shape (N, C*K*K, OH*OW)."""
+    """Unfold NCHW ``x`` into columns of shape (N, C*K*K, OH*OW).
+
+    A pointwise window returns ``x`` reshaped (a view when ``x`` is
+    C-contiguous); every other window is one contiguous copy of the
+    strided sliding-window view of the zero-padded input.
+    """
     n, c, h, w = x.shape
+    if _is_pointwise(kernel, stride, padding):
+        return np.ascontiguousarray(x).reshape(n, c, h * w), (h, w)
     oh = _conv_out_size(h, kernel, stride, padding)
     ow = _conv_out_size(w, kernel, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=x.dtype)
-    for ki in range(kernel):
-        i_end = ki + stride * oh
-        for kj in range(kernel):
-            j_end = kj + stride * ow
-            cols[:, :, ki, kj, :, :] = x[:, :, ki:i_end:stride, kj:j_end:stride]
+    windows = sliding_window_view(_zero_padded(x, padding), (kernel, kernel),
+                                  axis=(2, 3))[:, :, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
     return cols.reshape(n, c * kernel * kernel, oh * ow), (oh, ow)
 
 
@@ -305,6 +324,8 @@ def _col2im(
     padding: int,
 ) -> np.ndarray:
     """Fold columns back onto the (padded) input, summing overlaps."""
+    if _is_pointwise(kernel, stride, padding):
+        return cols.reshape(x_shape)
     n, c, h, w = x_shape
     oh = _conv_out_size(h, kernel, stride, padding)
     ow = _conv_out_size(w, kernel, stride, padding)
@@ -327,7 +348,12 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D cross-correlation of NCHW input with OIHW weights."""
+    """2-D cross-correlation of NCHW input with OIHW weights.
+
+    When the call records a tape node, the output's ``_saved`` slot holds
+    the im2col columns of ``x`` (which the backward needs anyway), so
+    per-sample gradient reconstruction never unfolds the input again.
+    """
     if x.ndim != 4:
         raise ShapeError(f"conv2d expects NCHW input, got shape {x.shape}")
     if weight.ndim != 4:
@@ -362,33 +388,101 @@ def conv2d(
             x._accumulate(_col2im(grad_cols, x.data.shape, kernel, stride, padding))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return out._attach(parents, backward)
+    return out._attach(parents, backward, saved=cols)
 
 
 def avg_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None, padding: int = 0) -> Tensor:
     """Average pooling over NCHW input (count includes padded zeros,
-    matching the ``count_include_pad=True`` convention NAS-Bench-201 uses)."""
+    matching the ``count_include_pad=True`` convention NAS-Bench-201 uses).
+
+    The forward adds the K×K shifted strided windows of the padded input
+    in ``(ki, kj)`` order and divides by K² exactly as ``ndarray.mean``
+    does: bit for bit the mean over im2col columns, which reduces
+    sequentially over its non-inner window axis, without unfolding.  The
+    backward adds ``grad / K²`` back through the same windows in the same
+    order.
+    """
     if stride is None:
         stride = kernel
-    n, c, h, w = x.shape
-    cols, (oh, ow) = _im2col(
-        x.data.reshape(n * c, 1, h, w), kernel, stride, padding
-    )
-    out_data = cols.mean(axis=1).reshape(n, c, oh, ow)
+    _, _, h, w = x.shape
+    oh = _conv_out_size(h, kernel, stride, padding)
+    ow = _conv_out_size(w, kernel, stride, padding)
+    padded = _zero_padded(x.data, padding)
+    padded_shape = padded.shape
+
+    def window(buffer: np.ndarray, ki: int, kj: int) -> np.ndarray:
+        return buffer[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+
+    offsets = [(ki, kj) for ki in range(kernel) for kj in range(kernel)]
+    out_data = window(padded, *offsets[0]).copy()
+    for ki, kj in offsets[1:]:
+        out_data += window(padded, ki, kj)
+    np.true_divide(out_data, np.intp(kernel * kernel), out=out_data,
+                   casting="unsafe")
     out = Tensor(out_data)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        grad_cols = np.repeat(
-            grad.reshape(n * c, 1, oh * ow) / (kernel * kernel),
-            kernel * kernel,
-            axis=1,
-        )
-        folded = _col2im(grad_cols, (n * c, 1, h, w), kernel, stride, padding)
-        x._accumulate(folded.reshape(n, c, h, w))
+        share = grad / (kernel * kernel)
+        grad_padded = np.zeros(padded_shape, dtype=share.dtype)
+        for ki, kj in offsets:
+            target = window(grad_padded, ki, kj)
+            target += share
+        if padding:
+            grad_padded = grad_padded[:, :, padding:-padding, padding:-padding]
+        x._accumulate(grad_padded)
 
     return out._attach((x,), backward)
+
+
+def batch_norm_eval(
+    x: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    eps: float,
+    weight: Optional[Tensor] = None,
+    bias: Optional[Tensor] = None,
+) -> Tensor:
+    """Eval-mode batch normalisation of NCHW ``x`` as ONE tape node:
+    ``(x − mean) · (var + eps)^−½ · weight + bias`` per channel, with the
+    running statistics as constants.
+
+    Forward and every gradient are bit-identical to the tape-op chain
+    ``(x - mean) * ((var + eps) ** -0.5) * scale + shift`` (kept as the
+    reference in ``tests/autograd/oracles.py``): each step is the same
+    NumPy operation in the same order, cast to the active compute dtype
+    where that chain's output tensors are.
+    """
+    dtype = default_dtype()
+    channel = (1, -1, 1, 1)
+    mean = np.asarray(running_mean.reshape(channel), dtype=dtype)
+    var = np.asarray(running_var.reshape(channel), dtype=dtype)
+    inv_std = (var + np.asarray(eps, dtype=dtype)) ** -0.5
+    # Fresh arrays are updated in place: the same rounding, fewer buffers.
+    normalised = np.asarray(x.data - mean, dtype=dtype)
+    normalised *= inv_std
+    if weight is None:
+        out = Tensor(normalised)
+        return out._attach((x,), lambda grad: x._accumulate(grad * inv_std))
+    scale = np.asarray(weight.data.reshape(channel), dtype=dtype)
+    shift = np.asarray(bias.data.reshape(channel), dtype=dtype)
+    out_data = normalised * scale
+    out_data += shift
+    out = Tensor(out_data)
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            grad_x = grad * scale
+            grad_x *= inv_std
+            x._accumulate(grad_x)
+        if weight.requires_grad:
+            weight._accumulate(
+                _unbroadcast(grad * normalised, scale.shape).reshape(weight.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(grad, shift.shape).reshape(bias.shape))
+
+    return out._attach((x, weight, bias), backward)
 
 
 def global_avg_pool2d(x: Tensor) -> Tensor:

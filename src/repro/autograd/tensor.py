@@ -4,7 +4,10 @@ A ``Tensor`` wraps a ``numpy.ndarray`` together with:
 
 * ``requires_grad`` — whether gradients should flow to this tensor,
 * ``grad`` — the accumulated gradient (same shape as ``data``),
-* a backward closure and parent links recorded by the op that produced it.
+* a backward closure and parent links recorded by the op that produced it,
+* ``_saved`` — a forward buffer the op kept for its backward and exposes
+  for reuse (``conv2d``'s im2col columns), set only when the op records a
+  tape node and held exactly as long as that node.
 
 The implementation favours clarity over raw speed; the proxy networks in
 this library are deliberately tiny (a few thousand parameters), so a pure
@@ -20,6 +23,15 @@ same scope: running a network outside the scope it was built under makes
 each op's output wrap re-cast to the ambient dtype (a silent
 copy-per-op upcast, or a precision-losing downcast) — which is why the
 proxies re-enter their config's policy on every call.
+
+Gradient ownership: a leaf's ``grad`` (a parameter or an input, whose
+``_backward`` is ``None``) is always a private copy, so callers may scale
+it in place (gradient clipping does) and mutating the array passed to
+``backward(seed)`` afterwards changes nothing on the tape.  An
+intermediate node takes ownership of the array its consumer's backward
+produced; that array may be shared with sibling nodes (``add`` hands the
+same gradient to both operands), so nothing may mutate an intermediate
+``grad`` in place.  ``clear_tape_grads`` drops them all.
 """
 
 from __future__ import annotations
@@ -80,7 +92,8 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A NumPy array with reverse-mode gradient support."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_saved", "name")
 
     def __init__(
         self,
@@ -99,6 +112,7 @@ class Tensor:
         self.grad: Optional[np.ndarray] = None
         self._parents: Tuple["Tensor", ...] = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._saved: Optional[np.ndarray] = None
         self.name = name
 
     # ------------------------------------------------------------------
@@ -156,12 +170,15 @@ class Tensor:
         self,
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
+        saved: Optional[np.ndarray] = None,
     ) -> "Tensor":
-        """Record provenance on a freshly built output tensor."""
+        """Record provenance on a freshly built output tensor (and the
+        forward buffer ``saved`` for reuse, when a node is recorded)."""
         if is_grad_enabled() and any(p.requires_grad for p in parents):
             self.requires_grad = True
             self._parents = tuple(parents)
             self._backward = backward
+            self._saved = saved
         return self
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -170,7 +187,14 @@ class Tensor:
         grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype),
                             self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            # Leaves keep a private copy; an intermediate owns the array
+            # its consumer produced.  A non-contiguous one (a slice or a
+            # broadcast view) is still copied, so every gradient a
+            # backward closure reads is C-contiguous and BLAS sees the
+            # same memory layout whatever op produced it.
+            if self._backward is None or not grad.flags.c_contiguous:
+                grad = grad.copy()
+            self.grad = grad
         else:
             self.grad = self.grad + grad
 
@@ -212,8 +236,8 @@ class Tensor:
         if grad is None:
             seed = np.ones_like(self.data)
         else:
-            seed = np.asarray(grad.data if isinstance(grad, Tensor) else grad,
-                              dtype=self.data.dtype)
+            seed = np.array(grad.data if isinstance(grad, Tensor) else grad,
+                            dtype=self.data.dtype)
             if seed.shape != self.data.shape:
                 raise ShapeError(
                     f"backward seed shape {seed.shape} != tensor shape {self.data.shape}"

@@ -14,8 +14,11 @@ batched passes:
   reconstructs the per-sample parameter gradients layer-locally
   (Goodfellow, 2015): an outer product for ``Linear``, an im2col
   contraction for ``Conv2d``, and channel-wise reductions for the affine
-  ``BatchNorm2d`` terms.  The result is the exact ``(B, P)`` Jacobian the
-  per-sample loop produces, at ~1/B of the Python/tape overhead.
+  ``BatchNorm2d`` terms.  The conv contraction reuses the im2col columns
+  the forward already built (``conv2d`` leaves them on its output's tape
+  node), so every conv input is unfolded exactly once per Jacobian.  The
+  result is the exact ``(B, P)`` Jacobian the per-sample loop produces,
+  at ~1/B of the Python/tape overhead.
 
 * **Line-region counting** — the reference path runs one forward per probe
   line.  :func:`batched_line_patterns` stacks all lines' sample points
@@ -46,7 +49,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.autograd.functional import _im2col
 from repro.errors import ProxyError
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.linear import Linear
@@ -73,14 +75,15 @@ def _param_slices(params) -> Dict[int, List[slice]]:
     return slices
 
 
-def _per_sample_grads(module: Module, x: Tensor, grad: np.ndarray,
+def _per_sample_grads(module: Module, x: Tensor, y: Tensor,
                       batch: int) -> List[Tuple[int, np.ndarray]]:
-    """``(param id, (B, size) gradient)`` pairs for one captured layer call."""
+    """``(param id, (B, size) gradient)`` pairs for one captured layer
+    call with input ``x`` and output ``y`` (whose gradient is set)."""
+    grad = y.grad
     out: List[Tuple[int, np.ndarray]] = []
     if isinstance(module, Conv2d):
         n, c_out, oh, ow = grad.shape
-        cols, _ = _im2col(x.data, module.kernel_size, module.stride,
-                          module.padding)
+        cols = y._saved  # the forward's im2col columns of ``x``
         grad_mat = grad.reshape(n, c_out, oh * ow)
         grad_w = np.matmul(grad_mat, cols.transpose(0, 2, 1))
         out.append((id(module.weight), grad_w.reshape(batch, -1)))
@@ -181,12 +184,11 @@ def batched_ntk_jacobian(network: Module, images: np.ndarray,
     jacobian = np.zeros((batch, sum(p.size for p in params)),
                         dtype=params[0].data.dtype)
     for module, x, out in captures:
-        grad = out.grad
-        if grad is None:
+        if out.grad is None:
             # Layer output never reached the logits (dead branch): the
             # reference loop leaves these parameter gradients at zero too.
             continue
-        for pid, per_sample in _per_sample_grads(module, x, grad, batch):
+        for pid, per_sample in _per_sample_grads(module, x, out, batch):
             for column_slice in slices[pid]:
                 jacobian[:, column_slice] += per_sample
     output.clear_tape_grads()

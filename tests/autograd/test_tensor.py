@@ -104,6 +104,49 @@ class TestBackward:
         assert any(node is x for node in nodes)
 
 
+class TestGradOwnership:
+    """Leaves own private gradient copies; intermediates own (and may
+    share) the arrays their consumers produced, never mutated in place."""
+
+    def test_leaf_grad_is_a_private_copy(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        h = a + b  # add hands one gradient array to both operands
+        y = h * 3.0
+        y.backward()
+        a.grad *= 2.0  # in place, as gradient clipping does
+        assert np.array_equal(a.grad, [6.0, 6.0])
+        assert np.array_equal(b.grad, [3.0, 3.0])
+        assert np.array_equal(h.grad, [3.0, 3.0])
+        assert np.array_equal(y.grad, [1.0, 1.0])
+
+    def test_mutating_the_seed_changes_no_grad(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        w = Tensor([5.0, 7.0], requires_grad=True)
+        y = x * w
+        seed = np.array([1.0, -1.0])
+        y.backward(seed)
+        seed[...] = 100.0
+        assert np.array_equal(x.grad, [5.0, -7.0])
+        assert np.array_equal(w.grad, [1.0, -2.0])
+        assert np.array_equal(y.grad, [1.0, -1.0])
+
+    def test_intermediate_owns_its_consumers_array(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        h = x * 2.0
+        y = h + 1.0
+        y.backward()
+        assert h.grad is y.grad  # add's gradient, not a copy
+        assert x.grad is not h.grad
+
+    def test_non_contiguous_grad_is_stored_contiguous(self):
+        x = Tensor(np.ones((2, 3, 4, 4)), requires_grad=True)
+        h = x * 2.0
+        h.sum(axis=(2, 3)).backward()  # a broadcast view reaches h
+        assert h.grad.flags.c_contiguous
+        assert np.array_equal(x.grad, np.full((2, 3, 4, 4), 2.0))
+
+
 class TestNoGrad:
     def test_no_grad_disables_tape(self):
         x = Tensor([1.0], requires_grad=True)

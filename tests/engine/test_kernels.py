@@ -96,6 +96,60 @@ class TestNtkJacobianEquivalence:
         with pytest.raises(ProxyError):
             compute_ntk_gram(net, rng.normal(size=(2, 3, 8, 8)), mode="nope")
 
+    def test_each_conv_input_unfolded_once(self, monkeypatch):
+        """Reconstruction reuses the forward's columns: one unfold per conv
+        forward, a copying one only for non-pointwise convs, and the same
+        Jacobian as re-unfolding every captured input."""
+        from repro.autograd import functional as F
+        from repro.engine import kernels
+        from repro.nn.layers.conv import Conv2d
+        from repro.proxies.base import ProxyConfig
+        from tests.autograd import oracles
+
+        genotype = Genotype.from_arch_str(
+            "|nor_conv_3x3~0|+|nor_conv_1x1~0|avg_pool_3x3~1|"
+            "+|skip_connect~0|nor_conv_3x3~1|nor_conv_1x1~2|")
+        config = ProxyConfig()  # paper scale
+        images = np.random.default_rng(0).normal(
+            size=(config.ntk_batch_size, 3, config.input_size,
+                  config.input_size))
+
+        unfolds = []
+        original_im2col = F._im2col
+
+        def counting_im2col(x, kernel, stride, padding):
+            cols, out_hw = original_im2col(x, kernel, stride, padding)
+            unfolds.append(not np.shares_memory(cols, x))
+            return cols, out_hw
+
+        convs = []
+        network = build_network(genotype, config.macro_config(), rng=0)
+        for module in network.modules():
+            if isinstance(module, Conv2d):
+                module.register_forward_hook(
+                    lambda m, inputs, out: convs.append(
+                        m.kernel_size == 1 and m.stride == 1
+                        and m.padding == 0))
+        network.train(False)
+        monkeypatch.setattr(F, "_im2col", counting_im2col)
+        jacobian = batched_ntk_jacobian(network, images)
+        monkeypatch.undo()
+        assert convs and unfolds.count(True) == convs.count(False)
+        assert len(unfolds) == len(convs)  # none from reconstruction
+
+        original_grads = kernels._per_sample_grads
+
+        def reunfolding(module, x, y, batch):
+            if isinstance(module, Conv2d):
+                y._saved, _ = oracles.im2col(x.data, module.kernel_size,
+                                             module.stride, module.padding)
+            return original_grads(module, x, y, batch)
+
+        monkeypatch.setattr(kernels, "_per_sample_grads", reunfolding)
+        network = build_network(genotype, config.macro_config(), rng=0)
+        network.train(False)
+        assert np.array_equal(batched_ntk_jacobian(network, images), jacobian)
+
     def test_batched_restores_network_state(self, tiny_proxy_config,
                                             heavy_genotype, rng):
         from repro.nn.layers.norm import BatchNorm2d
